@@ -11,8 +11,8 @@ import sys
 from pathlib import Path
 
 from .scenario import (ScenarioError, list_presets, load_scenario,
-                       validate_scenario)
-from .simulation import Simulation, format_summary
+                       load_validated, validate_scenario)
+from .simulation import Scenario, Simulation, format_summary
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -49,8 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_one(ref: str, out_dir: Path, overrides, decimation):
-    scenario = load_scenario(ref, overrides)
+def _run_one(scenario: Scenario, out_dir: Path, overrides, decimation):
     if decimation is not None:
         scenario.decimation = decimation
     result = Simulation(scenario).run()
@@ -71,7 +70,8 @@ def _cmd_run(args) -> int:
         return EXIT_IO
     try:
         result, csv_path, summary_path = _run_one(
-            args.scenario, out_dir, args.override, args.decimation)
+            load_scenario(args.scenario, args.override), out_dir,
+            args.override, args.decimation)
     except ScenarioError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -94,20 +94,22 @@ def _cmd_batch(args) -> int:
     except OSError as exc:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_IO
+    scenarios = []
     for ref in args.scenarios:
-        issues = validate_scenario(ref, args.override)
+        scenario, issues = load_validated(ref, args.override)
         if issues:
             for msg in issues:
                 print(f"validation error in {ref}: {msg}", file=sys.stderr)
             return EXIT_VALIDATION
+        scenarios.append(scenario)
     header = (f"{'scenario':24s} {'detections':>10s} {'identified':>12s} "
               f"{'max |w_err|':>11s} {'reconv fail':>11s} {'runtime_s':>9s} "
               f"{'status':>8s}")
     rows = [header]
     worst = EXIT_OK
-    for ref in args.scenarios:
+    for ref, scenario in zip(args.scenarios, scenarios):
         try:
-            result, _, _ = _run_one(ref, out_dir, args.override,
+            result, _, _ = _run_one(scenario, out_dir, args.override,
                                     args.decimation)
         except OSError as exc:
             rows.append(f"{ref:24s} i/o failure: {exc}")

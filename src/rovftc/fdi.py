@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import ReferenceSample
 from .vehicle import ThrusterGeometry
 
 
@@ -49,10 +48,13 @@ class FdiConfig:
         positive = ("c1", "c2", "delta1", "delta2", "t_s",
                     "delta_w", "eps_u", "eps_g", "w_min")
         for name in positive:
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"fdi.{name} must be positive")
-        if self.f_smooth < 0.0 or self.joint_widen < 0.0 or self.joint_hold < 0.0:
-            raise ValueError("threshold margin parameters must be non-negative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"fdi.{name} must be positive and finite")
+        for name in ("f_smooth", "joint_widen", "joint_hold"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"fdi.{name} must be non-negative and finite")
         if self.delta_w >= 1.0:
             raise ValueError("fdi.delta_w must be below 1")
         if self.n_consec < 1:
@@ -82,13 +84,13 @@ def residual(e_eta, c1: float) -> float:
     return math.sqrt(ex * ex + ey * ey + c1 * ep * ep)
 
 
-def detection_threshold(cfg: FdiConfig, ref: ReferenceSample,
+def detection_threshold(cfg: FdiConfig, smooth: bool,
                         in_hold_window: bool = False) -> float:
-    """Base threshold plus the smoothness margin; widened inside the hold
-    window that follows a segment joint, where the reference itself makes
-    the pose error spike."""
+    """Base threshold plus the smoothness margin; widened at a segment
+    joint (`smooth` False) and inside the hold window that follows one,
+    where the reference itself makes the pose error spike."""
     value = cfg.c2 + cfg.f_smooth
-    if in_hold_window or not ref.smooth:
+    if in_hold_window or not smooth:
         value += cfg.joint_widen
     return value
 
@@ -172,16 +174,17 @@ class FdiEngine:
         self._hold_until = -math.inf
 
     def update(self, t: float, dt: float, e_eta, e_eta_dot, u_cmd,
-               psi: float, ref: ReferenceSample) -> int | None:
-        """Advance one sample; returns the thruster index (1-based) whose
-        weight estimate is due for a decrement, else None. The caller owns
-        the estimates and applies `reconfigure_step`."""
+               psi: float, smooth: bool) -> int | None:
+        """Advance one sample; `smooth` is the reference's smoothness flag
+        at t (False at a segment joint). Returns the thruster index
+        (1-based) whose weight estimate is due for a decrement, else None.
+        The caller owns the estimates and applies `reconfigure_step`."""
         cfg, st = self.cfg, self.state
-        if not ref.smooth:
+        if not smooth:
             self._hold_until = t + cfg.joint_hold
         in_hold = t <= self._hold_until
         st.residual = residual(e_eta, cfg.c1)
-        st.threshold = detection_threshold(cfg, ref, in_hold_window=in_hold)
+        st.threshold = detection_threshold(cfg, smooth, in_hold_window=in_hold)
         above = detect(st.residual, st.threshold)
 
         if not st.armed:

@@ -224,13 +224,18 @@ def load_scenario(ref: str, overrides: list[str] | None = None) -> Scenario:
     return scenario_from_dict(raw, name=name)
 
 
+def load_validated(ref: str, overrides: list[str] | None = None):
+    """`load_scenario` that reports instead of raising: returns
+    (scenario, []) when valid, else (None, violation messages)."""
+    try:
+        return load_scenario(ref, overrides), []
+    except ScenarioError as exc:
+        return None, [str(exc)]
+    except OSError as exc:
+        return None, [f"cannot read scenario: {exc}"]
+
+
 def validate_scenario(ref: str, overrides: list[str] | None = None) -> list[str]:
     """Full schema and invariant check. Returns a list of violation
     messages (empty when the scenario is valid)."""
-    try:
-        load_scenario(ref, overrides)
-    except ScenarioError as exc:
-        return [str(exc)]
-    except OSError as exc:
-        return [f"cannot read scenario: {exc}"]
-    return []
+    return load_validated(ref, overrides)[1]

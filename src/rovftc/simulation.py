@@ -9,7 +9,12 @@ the global error scales with dt^4.
 
 The inner loop is written with unrolled scalar arithmetic; the matrix
 form of every formula lives in `vehicle`, `controller` and `allocation`,
-and the test suite checks the two paths against each other.
+and the test suite checks the two paths against each other. Each step
+evaluates the control law 4 times: the boundary snapshot, which is
+exactly RK4 stage k1 (same time, state, allocation and thrust tables)
+and is reused as such, plus stages k2, k3 and k4. The reference is
+sampled once per distinct time: t, t + dt/2 (shared by k2 and k3) and
+t + dt.
 """
 
 from __future__ import annotations
@@ -119,10 +124,10 @@ class Scenario:
     initial_state: np.ndarray = None
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.duration <= 0.0:
-            raise ValueError("duration must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError("dt must be positive and finite")
+        if not (math.isfinite(self.duration) and self.duration > 0.0):
+            raise ValueError("duration must be positive and finite")
         if self.decimation < 1:
             raise ValueError("decimation must be at least 1")
         if self.initial_state is None:
@@ -147,13 +152,22 @@ class SimResult:
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join("%.12g" % v for v in row) + "\n")
+            line = ",".join(["%.12g"] * len(self.columns)) + "\n"
+            for row in self.rows.tolist():
+                fh.write(line % tuple(row))
             if self.diverged:
                 fh.write(f"# aborted: state divergence at t={self.diverged_time:.6g}\n")
 
     def summary_text(self) -> str:
         return format_summary(self.summary)
+
+
+def _table(arr) -> tuple:
+    """A numpy vector or matrix as (nested) tuples of Python floats. The
+    hot path does the same IEEE double arithmetic on them as on numpy
+    scalars, without numpy's per-operation overhead."""
+    return tuple(tuple(x) if isinstance(x, list) else x
+                 for x in np.asarray(arr, dtype=float).tolist())
 
 
 class Simulation:
@@ -170,8 +184,9 @@ class Simulation:
         self.dt = scenario.dt
         self.n_steps = int(round(scenario.duration / scenario.dt))
         self.k = 0
-        self.state = scenario.initial_state.astype(float).copy()
-        self.state[2] = wrap_angle(self.state[2])
+        s0 = [float(x) for x in scenario.initial_state]
+        s0[2] = wrap_angle(s0[2])
+        self._s = tuple(s0)  # (x, y, psi, u, v, r), psi wrapped
         self.diverged = False
         self.saturation_steps = 0
         self._event_idx = 0
@@ -180,23 +195,28 @@ class Simulation:
         self._refresh_allocation()
         self._refresh_thrust()
 
+    @property
+    def state(self) -> np.ndarray:
+        """Current (x, y, psi, u, v, r) as a fresh array."""
+        return np.array(self._s)
+
     # -- precomputed scalar tables -------------------------------------
 
     def _load_constants(self):
         p, g = self.params, self.gains
-        self._minv = tuple(map(tuple, p.inertia_inv))
-        self._m = tuple(map(tuple, p.inertia))
-        self._lin = tuple(map(tuple, p.lin_damping))
-        self._quad = tuple(p.quad_damping)
-        self._bmat = tuple(map(tuple, p.B))
-        self._binv = tuple(map(tuple, p.B_inv))
-        self._k1 = tuple(g.a1 / g.gamma1)
-        self._k2 = tuple(g.a2 / g.gamma2)
-        self._kc = tuple(g.gamma1 / g.gamma2)
-        self._g1 = tuple(g.gamma1)
-        self._g2 = tuple(g.gamma2)
-        self._cols = tuple(map(tuple, self.geom.t_conf.T))  # per-thruster wrench columns
-        self._umax = self.bank.u_max
+        self._minv = _table(p.inertia_inv)
+        self._m = _table(p.inertia)
+        self._lin = _table(p.lin_damping)
+        self._quad = _table(p.quad_damping)
+        self._bmat = _table(p.B)
+        self._binv = _table(p.B_inv)
+        self._k1 = _table(g.a1 / g.gamma1)
+        self._k2 = _table(g.a2 / g.gamma2)
+        self._kc = _table(g.gamma1 / g.gamma2)
+        self._g1 = _table(g.gamma1)
+        self._g2 = _table(g.gamma2)
+        self._cols = _table(self.geom.t_conf.T)  # per-thruster wrench columns
+        self._umax = float(self.bank.u_max)
 
     def _refresh_allocation(self):
         """Rebuild the wrench-to-command rows; called whenever the weight
@@ -205,20 +225,21 @@ class Simulation:
         dist = _distribution_matrix(self.geom.t_conf, active)
         rows = dist / np.where(active, self.bank.K * self.bank.w_hat, 1.0)[:, None]
         rows[~active, :] = 0.0
-        self._alloc = tuple(map(tuple, rows))
+        self._alloc = _table(rows)
 
     def _refresh_thrust(self):
-        self._kw = tuple(self.bank.K * self.bank.w_true)
+        self._kw = _table(self.bank.K * self.bank.w_true)
 
     # -- scalar hot path -----------------------------------------------
 
-    def _control(self, t: float, s: tuple):
-        """Controller + allocation at one instant. Returns scalars:
+    def _control(self, s: tuple, ref: tuple):
+        """Controller + allocation for state `s` against the flat reference
+        `ref` (a `TrajectoryPlan.sample_flat` tuple). Returns scalars:
         (cp, sp, ex, ey, ep, edx, edy, edr, en1, en2, en3,
          fv1, fv2, fv3, tc1, tc2, tc3, ur1..ur4, u1..u4, sat)."""
         X, Y, psi, u, v, r = s
         cp, sp = math.cos(psi), math.sin(psi)
-        xd, yd, psid, vxd, vyd, rd, axd, ayd = self.plan.sample_flat(t)
+        xd, yd, psid, vxd, vyd, rd, axd, ayd = ref
         ex = xd - X
         ey = yd - Y
         ep = wrap_angle(psid - psi)
@@ -284,7 +305,11 @@ class Simulation:
                 ur1, ur2, ur3, ur4, u1, u2, u3, u4, sat)
 
     def _rhs(self, t: float, s: tuple):
-        c = self._control(t, s)
+        """State derivative at time t: `_deriv` of the `_control` snapshot."""
+        return self._deriv(s, self._control(s, self.plan.sample_flat(t)))
+
+    def _deriv(self, s: tuple, c: tuple):
+        """State derivative for state `s` under the control snapshot `c`."""
         cp, sp = c[0], c[1]
         fv1, fv2, fv3 = c[11], c[12], c[13]
         u1, u2, u3, u4 = c[21], c[22], c[23], c[24]
@@ -306,17 +331,25 @@ class Simulation:
                 fv2 + b[1][0] * tu + b[1][1] * tv + b[1][2] * tr,
                 fv3 + b[2][0] * tu + b[2][1] * tv + b[2][2] * tr)
 
-    def _integrate(self, t: float, s: tuple) -> tuple:
+    def _integrate(self, t: float, s: tuple, c: tuple) -> tuple:
+        """One RK4 step from (t, s); `c` is the control snapshot at (t, s),
+        so stage k1 needs no new control evaluation."""
         dt = self.dt
         h = dt * 0.5
+        control, deriv = self._control, self._deriv
+        sample = self.plan.sample_flat
         a0, a1, a2, a3, a4, a5 = s
-        k1 = self._rhs(t, s)
-        k2 = self._rhs(t + h, (a0 + h * k1[0], a1 + h * k1[1], a2 + h * k1[2],
-                               a3 + h * k1[3], a4 + h * k1[4], a5 + h * k1[5]))
-        k3 = self._rhs(t + h, (a0 + h * k2[0], a1 + h * k2[1], a2 + h * k2[2],
-                               a3 + h * k2[3], a4 + h * k2[4], a5 + h * k2[5]))
-        k4 = self._rhs(t + dt, (a0 + dt * k3[0], a1 + dt * k3[1], a2 + dt * k3[2],
-                                a3 + dt * k3[3], a4 + dt * k3[4], a5 + dt * k3[5]))
+        k1 = deriv(s, c)
+        ref = sample(t + h)
+        s2 = (a0 + h * k1[0], a1 + h * k1[1], a2 + h * k1[2],
+              a3 + h * k1[3], a4 + h * k1[4], a5 + h * k1[5])
+        k2 = deriv(s2, control(s2, ref))
+        s3 = (a0 + h * k2[0], a1 + h * k2[1], a2 + h * k2[2],
+              a3 + h * k2[3], a4 + h * k2[4], a5 + h * k2[5])
+        k3 = deriv(s3, control(s3, ref))
+        s4 = (a0 + dt * k3[0], a1 + dt * k3[1], a2 + dt * k3[2],
+              a3 + dt * k3[3], a4 + dt * k3[4], a5 + dt * k3[5])
+        k4 = deriv(s4, control(s4, sample(t + dt)))
         sx = dt / 6.0
         return (a0 + sx * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
                 a1 + sx * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
@@ -329,7 +362,9 @@ class Simulation:
 
     def _boundary(self, t: float, want_row: bool = True):
         """Fault schedule, control snapshot, FDI update at a step start.
-        Returns ((residual, threshold, |e_eta|), row-or-None)."""
+        Returns ((residual, threshold, |e_eta|), row-or-None, c), where c
+        is the final `_control` snapshot: the commands the plant receives
+        over the step, and RK4 stage k1's control."""
         while (self._event_idx < len(self._events)
                and self._events[self._event_idx].time <= t + 1e-9):
             ev = self._events[self._event_idx]
@@ -337,18 +372,19 @@ class Simulation:
             self._refresh_thrust()
             self._event_idx += 1
 
-        s = tuple(self.state)
-        c = self._control(t, s)
-        ref = self.plan.sample(t)
+        s = self._s
+        ref = self.plan.sample_flat(t)
+        c = self._control(s, ref)
         e_eta = (c[2], c[3], c[4])
         e_dot = (c[5], c[6], c[7])
         u_cmd = (c[21], c[22], c[23], c[24])
-        due = self.engine.update(t, self.dt, e_eta, e_dot, u_cmd, s[2], ref)
+        due = self.engine.update(t, self.dt, e_eta, e_dot, u_cmd, s[2],
+                                 not self.plan.is_joint(t))
         if due is not None:
             self.bank.w_hat = reconfigure_step(self.bank.w_hat, due,
                                                self.engine.cfg)
             self._refresh_allocation()
-            c = self._control(t, s)  # commands the plant will now receive
+            c = self._control(s, ref)  # commands the plant will now receive
             u_cmd = (c[21], c[22], c[23], c[24])
         if c[25]:
             self.saturation_steps += 1
@@ -357,7 +393,7 @@ class Simulation:
         hist = (st.residual, st.threshold,
                 math.sqrt(c[2] * c[2] + c[3] * c[3] + c[4] * c[4]))
         if not want_row:
-            return hist, None
+            return hist, None, c
         kw = self._kw
         f1, f2, f3, f4 = (kw[0] * u_cmd[0], kw[1] * u_cmd[1],
                           kw[2] * u_cmd[2], kw[3] * u_cmd[3])
@@ -368,9 +404,8 @@ class Simulation:
         g1, g2 = self._g1, self._g2
         v2 = 0.5 * (g1[0] * c[2] ** 2 + g1[1] * c[3] ** 2 + g1[2] * c[4] ** 2
                     + g2[0] * c[8] ** 2 + g2[1] * c[9] ** 2 + g2[2] * c[10] ** 2)
-        xd, yd, psid = ref.eta_d
         row = (t, s[0], s[1], s[2], s[3], s[4], s[5],
-               xd, yd, wrap_angle(psid),
+               ref[0], ref[1], wrap_angle(ref[2]),
                c[2], c[3], c[4],
                st.residual, st.threshold,
                1.0 if st.b_trig else 0.0,
@@ -379,21 +414,18 @@ class Simulation:
                *u_cmd,
                c[14], c[15], c[16],
                *tau, v2)
-        return hist, row
+        return hist, row, c
 
-    def _advance(self, t: float):
-        """Integrate one step from t and enforce the state invariants."""
-        nxt = self._integrate(t, tuple(self.state))
-        ok = True
+    def _advance(self, t: float, c: tuple):
+        """Integrate one step from t, given the boundary snapshot `c`, and
+        enforce the state invariants."""
+        nxt = self._integrate(t, self._s, c)
         for x in nxt:
             if not (-DIVERGENCE_LIMIT <= x <= DIVERGENCE_LIMIT):  # catches NaN
-                ok = False
+                self.diverged = True
                 break
-        if not ok:
-            self.diverged = True
         else:
-            self.state = np.array(nxt)
-            self.state[2] = wrap_angle(self.state[2])
+            self._s = (nxt[0], nxt[1], wrap_angle(nxt[2]), nxt[3], nxt[4], nxt[5])
         self.k += 1
 
     def step(self) -> tuple:
@@ -402,8 +434,8 @@ class Simulation:
         if self.k >= self.n_steps:
             raise RuntimeError("simulation already at the end of the run")
         t = self.k * self.dt
-        _, row = self._boundary(t)
-        self._advance(t)
+        _, row, c = self._boundary(t)
+        self._advance(t, c)
         return row
 
     def run(self) -> SimResult:
@@ -417,7 +449,7 @@ class Simulation:
         while self.k <= self.n_steps:
             t = self.k * self.dt
             record = (self.k % sc.decimation == 0)
-            hist, row = self._boundary(t, want_row=record)
+            hist, row, c = self._boundary(t, want_row=record)
             residual_hist.append(hist[0])
             thresh_hist.append(hist[1])
             enorm_hist.append(hist[2])
@@ -425,7 +457,7 @@ class Simulation:
                 rows.append(row)
             if self.k == self.n_steps:
                 break
-            self._advance(t)
+            self._advance(t, c)
             if self.diverged:
                 diverged_time = self.k * self.dt
                 break

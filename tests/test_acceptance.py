@@ -136,7 +136,7 @@ def test_04_deficit_sign_oracle():
             for thruster in range(1, 5):
                 sc = scenario_from_dict(cfg, name="oracle")
                 sim = Simulation(sc)
-                c = sim._control(0.0, tuple(sim.state))
+                c = sim._control(tuple(sim.state), sc.plan.sample_flat(0.0))
                 u_cmd = c[21:25]
                 pattern = predict_sign_pattern(thruster, u_cmd[thruster - 1],
                                                heading, sc.geometry,
@@ -145,7 +145,7 @@ def test_04_deficit_sign_oracle():
                 sim.bank.w_true[thruster - 1] = 0.8
                 sim._refresh_thrust()
                 sim.step()
-                c2 = sim._control(sc.dt, tuple(sim.state))
+                c2 = sim._control(tuple(sim.state), sc.plan.sample_flat(sc.dt))
                 e_dot = np.array(c2[5:8])
                 assert np.abs(e_dot).min() > 1e-9, "deviation unresolvable"
                 measured = tuple(int(np.sign(x)) for x in e_dot)

@@ -4,15 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from rovftc.controller import ReferenceSample
 from rovftc.fdi import (FdiConfig, FdiEngine, detect, detection_threshold,
                         identify_fault, predict_sign_pattern,
                         reconfigure_step, residual)
 
 ALPHA = math.pi / 4.0
 
-SMOOTH_REF = ReferenceSample(np.zeros(3), np.zeros(3), np.zeros(3), True)
-JOINT_REF = ReferenceSample(np.zeros(3), np.zeros(3), np.zeros(3), False)
+SMOOTH = True   # reference smoothness flag away from segment joints
+JOINT = False   # ... and exactly at one
 
 # sign rows for a degraded first thruster, indexed by
 # (u1 sign, cos(psi - alpha) sign, sin(psi - alpha) sign)
@@ -53,18 +52,18 @@ class TestResidual:
 
 class TestThreshold:
     def test_default_sum(self, fdi_cfg):
-        assert detection_threshold(fdi_cfg, SMOOTH_REF) == pytest.approx(0.31)
+        assert detection_threshold(fdi_cfg, SMOOTH) == pytest.approx(0.31)
 
     def test_zero_margin_collapses_to_base(self, fdi_cfg):
         cfg = dataclasses.replace(fdi_cfg, f_smooth=0.0)
-        assert detection_threshold(cfg, SMOOTH_REF) == pytest.approx(cfg.c2)
+        assert detection_threshold(cfg, SMOOTH) == pytest.approx(cfg.c2)
 
     def test_widened_in_hold_window(self, fdi_cfg):
-        assert detection_threshold(fdi_cfg, SMOOTH_REF, in_hold_window=True) \
+        assert detection_threshold(fdi_cfg, SMOOTH, in_hold_window=True) \
             == pytest.approx(0.31 + fdi_cfg.joint_widen)
 
     def test_widened_at_joint_sample(self, fdi_cfg):
-        assert detection_threshold(fdi_cfg, JOINT_REF) \
+        assert detection_threshold(fdi_cfg, JOINT) \
             == pytest.approx(0.31 + fdi_cfg.joint_widen)
 
 
@@ -170,10 +169,10 @@ class TestConfigValidation:
 
 
 def drive(engine, samples):
-    """Feed (t, e_eta, e_dot, u, psi, ref) tuples; collect decrements."""
+    """Feed (t, e_eta, e_dot, u, psi, smooth) tuples; collect decrements."""
     updates = []
-    for t, e_eta, e_dot, u, psi, ref in samples:
-        due = engine.update(t, 0.01, e_eta, e_dot, u, psi, ref)
+    for t, e_eta, e_dot, u, psi, smooth in samples:
+        due = engine.update(t, 0.01, e_eta, e_dot, u, psi, smooth)
         if due is not None:
             updates.append((t, due))
     return updates
@@ -186,22 +185,22 @@ class TestEngine:
     FAULT_EDOT = np.array([0.1, 0.1, -0.05])       # first-thruster signature at PSI
 
     def quiet(self, t):
-        return (t, np.zeros(3), np.zeros(3), self.CRUISE_U, self.PSI, SMOOTH_REF)
+        return (t, np.zeros(3), np.zeros(3), self.CRUISE_U, self.PSI, SMOOTH)
 
     def faulted(self, t, e_dot=None):
         e_dot = self.FAULT_EDOT if e_dot is None else e_dot
-        return (t, self.FAULT_E, e_dot, self.CRUISE_U, self.PSI, SMOOTH_REF)
+        return (t, self.FAULT_E, e_dot, self.CRUISE_U, self.PSI, SMOOTH)
 
     def test_arms_only_after_settling(self, fdi_cfg, geom):
         engine = FdiEngine(fdi_cfg, geom)
         # large residual before the loop has ever settled: ignored
         for k in range(50):
             engine.update(k * 0.01, 0.01, [3.0, 4.0, 0.0], np.zeros(3),
-                          self.CRUISE_U, self.PSI, SMOOTH_REF)
+                          self.CRUISE_U, self.PSI, SMOOTH)
         assert not engine.state.armed
         assert not engine.state.b_trig
         engine.update(0.5, 0.01, np.zeros(3), np.zeros(3), self.CRUISE_U,
-                      self.PSI, SMOOTH_REF)
+                      self.PSI, SMOOTH)
         assert engine.state.armed
 
     def test_debounce_then_trigger_and_identify(self, fdi_cfg, geom):
@@ -282,16 +281,16 @@ class TestEngine:
         drive(engine, [self.quiet(0.0)])
         # joint sample opens the hold window
         engine.update(1.0, 0.01, np.zeros(3), np.zeros(3), self.CRUISE_U,
-                      self.PSI, JOINT_REF)
+                      self.PSI, JOINT)
         spike = np.array([0.2, 0.2, 0.2])  # residual 0.54: above 0.31, below 0.61
         for k in range(3 * fdi_cfg.n_consec):
             engine.update(1.01 + 0.01 * k, 0.01, spike, np.zeros(3),
-                          self.CRUISE_U, self.PSI, SMOOTH_REF)
+                          self.CRUISE_U, self.PSI, SMOOTH)
         assert not engine.state.b_trig
         # same spike outside the window trips it
         engine2 = FdiEngine(fdi_cfg, geom)
         drive(engine2, [self.quiet(0.0)])
         for k in range(fdi_cfg.n_consec + 1):
             engine2.update(1.01 + 0.01 * k, 0.01, spike, np.zeros(3),
-                           self.CRUISE_U, self.PSI, SMOOTH_REF)
+                           self.CRUISE_U, self.PSI, SMOOTH)
         assert engine2.state.b_trig

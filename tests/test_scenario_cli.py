@@ -140,6 +140,17 @@ class TestCli:
         assert main(["validate", str(path)]) == 2
         assert "invalid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [
+        "sim.dt=.nan", "sim.duration=.nan", "fdi.c1=.nan", "fdi.c2=.nan",
+        "sim.dt=.inf",
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, override):
+        path = self.short_scenario(tmp_path)
+        assert main(["run", str(path), "--out", str(tmp_path / "out"),
+                     "--override", override]) == 2
+        assert main(["validate", str(path), "--override", override]) == 2
+        assert not (tmp_path / "out" / "short.csv").exists()
+
     def test_validate_ok(self, capsys):
         assert main(["validate", "fig5_residual"]) == 0
         assert "valid" in capsys.readouterr().out

@@ -90,13 +90,49 @@ class TestStep:
                 eval_fv(state.nu, sc.params) + sc.params.B @ tau.as_array(),
             ])
 
-            c = sim._control(t, s)
+            c = sim._control(s, sc.plan.sample_flat(t))
             scale = max(1.0, np.abs(tau_c.as_array()).max())
             assert np.abs(np.array(c[2:5]) - errors.e_eta).max() < 1e-9
             assert np.abs(np.array(c[5:8]) - error_rate(state, ref)).max() < 1e-9
             assert np.abs(np.array(c[14:17]) - tau_c.as_array()).max() < 1e-9 * scale
             assert np.abs(np.array(c[21:25]) - alloc.u_cmd).max() < 1e-9
             assert np.abs(np.array(sim._rhs(t, s)) - expected).max() < 1e-9 * scale
+
+    def test_boundary_snapshot_is_rk4_k1(self):
+        # thruster 1 drops to 30 % at t = 2 s, weight decrements every
+        # 0.5 s once identified, and a straight-to-turn joint at t = 8 s
+        cfg = {
+            "sim": {"duration": 10.0, "decimation": 1, "settle_time": 1.0,
+                    "initial_state": [10.0, 5.0, HALF_PI, 1.0, 0.0, 0.0]},
+            "fdi": {"t_s": 0.5},
+            "trajectory": {"initial_pose": [10.0, 5.0, HALF_PI],
+                           "segments": [
+                               {"mode": "straight", "duration": 8.0,
+                                "speed": 1.0, "heading": HALF_PI},
+                               {"mode": "turn", "duration": 20.0,
+                                "speed": 1.0, "yaw_rate": 0.05}]},
+            "faults": [{"time": 2.0, "thruster": 1, "weight": 0.3}],
+        }
+        sim = Simulation(make_scenario(**cfg))
+        boundary = sim._boundary
+        seen = []
+
+        def checked_boundary(t, want_row=True):
+            hist, row, c = boundary(t, want_row)
+            s = sim._s
+            assert sim._deriv(s, c) == sim._rhs(t, s)
+            seen.append(t)
+            return hist, row, c
+
+        sim._boundary = checked_boundary
+        rows = [sim.step() for _ in range(sim.n_steps)]
+        assert len(seen) == sim.n_steps
+        assert any(sim.plan.is_joint(t) for t in seen)
+        assert sim.bank.w_true[0] == 0.3
+        assert sim.bank.w_hat[0] < 1.0 - sim.engine.cfg.delta_w
+
+        res = run_scenario(make_scenario(**cfg))
+        assert np.array_equal(np.array(rows), res.rows[:-1])
 
     def test_divergence_guard(self):
         sc = make_scenario(
