@@ -7,7 +7,11 @@ Exit codes: 0 success, 2 validation failure, 3 divergence abort,
 from __future__ import annotations
 
 import argparse
+import multiprocessing
+import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from .scenario import (ScenarioError, list_presets, load_scenario,
@@ -18,6 +22,13 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DIVERGENCE = 3
 EXIT_IO = 4
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a whole number of at least 1, got {text!r}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for cmd in (run, batch):
         cmd.add_argument("--out", default=".", metavar="DIR",
                          help="output directory (default: current)")
-        cmd.add_argument("--decimation", type=int, default=None, metavar="N",
+        cmd.add_argument("--decimation", type=_positive_int, default=None,
+                         metavar="N",
                          help="record every N-th step")
     return parser
 
@@ -59,6 +71,16 @@ def _run_one(scenario: Scenario, out_dir: Path, overrides, decimation):
     with open(summary_path, "w") as fh:
         fh.write(format_summary(result.summary, overrides))
     return result, csv_path, summary_path
+
+
+def _run_member(out_dir: Path, overrides, decimation, scenario: Scenario):
+    """Batch pool worker: run one member and write its files. Returns
+    (summary, diverged), or the OSError that stopped it."""
+    try:
+        result, _, _ = _run_one(scenario, out_dir, overrides, decimation)
+    except OSError as exc:
+        return exc
+    return result.summary, result.diverged
 
 
 def _cmd_run(args) -> int:
@@ -95,31 +117,47 @@ def _cmd_batch(args) -> int:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_IO
     scenarios = []
+    owners = {}
     for ref in args.scenarios:
         scenario, issues = load_validated(ref, args.override)
+        if not issues and scenario.name in owners:
+            issues = [f"same name {scenario.name!r} as {owners[scenario.name]}; "
+                      f"both would write {scenario.name}.csv"]
         if issues:
             for msg in issues:
                 print(f"validation error in {ref}: {msg}", file=sys.stderr)
             return EXIT_VALIDATION
+        owners[scenario.name] = ref
         scenarios.append(scenario)
     header = (f"{'scenario':24s} {'detections':>10s} {'identified':>12s} "
               f"{'max |w_err|':>11s} {'reconv fail':>11s} {'runtime_s':>9s} "
               f"{'status':>8s}")
     rows = [header]
     worst = EXIT_OK
-    for ref, scenario in zip(args.scenarios, scenarios):
-        try:
-            result, _, _ = _run_one(scenario, out_dir, args.override,
-                                    args.decimation)
-        except OSError as exc:
-            rows.append(f"{ref:24s} i/o failure: {exc}")
+    # Where the platform can fork, the workers inherit the imported modules
+    # and the loaded scenarios; elsewhere (Windows) the default start method
+    # imports rovftc again in each worker. The executor forks every worker
+    # before it starts its own helper thread. Threads the process already
+    # has, such as a BLAS pool started by `import numpy`, are not copied
+    # into the workers, which never call BLAS.
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = max(1, min(len(scenarios), cpus))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(
+            "fork" if fork else None)) as pool:
+        outcomes = list(pool.map(partial(_run_member, out_dir, args.override,
+                                         args.decimation), scenarios))
+    for ref, outcome in zip(args.scenarios, outcomes):
+        if isinstance(outcome, OSError):
+            rows.append(f"{ref:24s} i/o failure: {outcome}")
             worst = max(worst, EXIT_IO)
             continue
-        s = result.summary
+        s, diverged = outcome
         idents = ",".join(str(i) for _, i in s["identifications"]) or "-"
         w_err = max((e["w_hat_error"] for e in s["events"]), default=0.0)
-        status = "diverged" if result.diverged else "ok"
-        if result.diverged:
+        status = "diverged" if diverged else "ok"
+        if diverged:
             worst = max(worst, EXIT_DIVERGENCE)
         rows.append(f"{s['scenario']:24s} {s['trigger_count']:>10d} "
                     f"{idents:>12s} {w_err:>11.3f} "

@@ -70,8 +70,38 @@ def _merge(base: dict, over: dict) -> dict:
     return out
 
 
+def _number(raw, path: str) -> float:
+    """A finite float. NaN would pass every `<=` range check further in
+    and then turn comparisons such as saturation silently false."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{path}: expected a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ScenarioError(f"{path}: must be finite, got {raw!r}")
+    return value
+
+
+def _count(raw, path: str) -> int:
+    """A whole number; integral floats such as 3.0 are accepted."""
+    value = _number(raw, path)
+    if value != int(value):
+        raise ScenarioError(f"{path}: expected a whole number, got {raw!r}")
+    return int(value)
+
+
+def _array(raw, path: str) -> np.ndarray:
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{path}: expected numbers, got {raw!r}") from exc
+    if not np.isfinite(arr).all():
+        raise ScenarioError(f"{path}: entries must be finite, got {raw!r}")
+    return arr
+
+
 def _matrix3(raw, path: str) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
+    arr = _array(raw, path)
     if arr.shape == (3,):
         return np.diag(arr)
     if arr.shape == (3, 3):
@@ -80,7 +110,7 @@ def _matrix3(raw, path: str) -> np.ndarray:
 
 
 def _vector(raw, n: int, path: str) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
+    arr = _array(raw, path)
     if arr.shape != (n,):
         raise ScenarioError(f"{path}: expected {n} entries")
     return arr
@@ -121,20 +151,22 @@ def scenario_from_dict(config: dict, name: str = "scenario") -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"vehicle: {exc}") from exc
 
-    fdi_cfg = cfg["fdi"]
     try:
-        fdi = FdiConfig(**fdi_cfg)
-    except (TypeError, ValueError) as exc:
+        fdi = FdiConfig(**{
+            key: (_count if key == "n_consec" else _number)(val, f"fdi.{key}")
+            for key, val in cfg["fdi"].items()})
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ScenarioError(f"fdi: {exc}") from exc
 
     try:
-        geom = ThrusterGeometry(alpha=float(veh["alpha"]), l=float(veh["l"]))
+        geom = ThrusterGeometry(alpha=_number(veh["alpha"], "vehicle.alpha"),
+                                l=_number(veh["l"], "vehicle.l"))
     except ValueError as exc:
         raise ScenarioError(f"vehicle geometry: {exc}") from exc
 
     try:
         bank = ThrusterBank(K=_vector(veh["K"], 4, "vehicle.K"),
-                            u_max=float(veh["u_max"]),
+                            u_max=_number(veh["u_max"], "vehicle.u_max"),
                             w_min=fdi.w_min)
     except ValueError as exc:
         raise ScenarioError(f"vehicle thrusters: {exc}") from exc
@@ -155,19 +187,14 @@ def scenario_from_dict(config: dict, name: str = "scenario") -> Scenario:
     for i, seg in enumerate(traj.get("segments", [])):
         path = f"trajectory.segments[{i}]"
         mode = seg.get("mode")
+        fields = {"straight": ("duration", "speed", "heading"),
+                  "turn": ("duration", "speed", "yaw_rate"),
+                  "hold": ("duration",)}.get(mode)
+        if fields is None:
+            raise ScenarioError(f"{path}: unknown mode {mode!r}")
         try:
-            if mode == "straight":
-                segments.append(Segment("straight", float(seg["duration"]),
-                                        speed=float(seg["speed"]),
-                                        heading=float(seg["heading"])))
-            elif mode == "turn":
-                segments.append(Segment("turn", float(seg["duration"]),
-                                        speed=float(seg["speed"]),
-                                        yaw_rate=float(seg["yaw_rate"])))
-            elif mode == "hold":
-                segments.append(Segment("hold", float(seg["duration"])))
-            else:
-                raise ScenarioError(f"{path}: unknown mode {mode!r}")
+            segments.append(Segment(mode, **{
+                key: _number(seg[key], f"{path}.{key}") for key in fields}))
         except KeyError as exc:
             raise ScenarioError(f"{path}: missing field {exc}") from exc
         except ValueError as exc:
@@ -181,9 +208,11 @@ def scenario_from_dict(config: dict, name: str = "scenario") -> Scenario:
     sim = cfg["sim"]
     try:
         schedule = FaultSchedule(
-            events=[(ev["time"], ev["thruster"], ev["weight"])
-                    for ev in cfg.get("faults") or []],
-            settle_time=float(sim["settle_time"]),
+            events=[(_number(ev["time"], f"faults[{i}].time"),
+                     _count(ev["thruster"], f"faults[{i}].thruster"),
+                     _number(ev["weight"], f"faults[{i}].weight"))
+                    for i, ev in enumerate(cfg.get("faults") or [])],
+            settle_time=_number(sim["settle_time"], "sim.settle_time"),
         )
     except (KeyError, TypeError) as exc:
         raise ScenarioError(f"faults: each event needs time/thruster/weight "
@@ -196,8 +225,9 @@ def scenario_from_dict(config: dict, name: str = "scenario") -> Scenario:
             name=name,
             params=params, geometry=geom, bank=bank, gains=gains, fdi=fdi,
             plan=plan, schedule=schedule,
-            dt=float(sim["dt"]), duration=float(sim["duration"]),
-            decimation=int(sim["decimation"]),
+            dt=_number(sim["dt"], "sim.dt"),
+            duration=_number(sim["duration"], "sim.duration"),
+            decimation=_count(sim["decimation"], "sim.decimation"),
             initial_state=_vector(sim["initial_state"], 6, "sim.initial_state"),
         )
     except ValueError as exc:

@@ -130,6 +130,11 @@ class Scenario:
             raise ValueError("duration must be positive and finite")
         if self.decimation < 1:
             raise ValueError("decimation must be at least 1")
+        if self.fdi.t_s < self.dt:
+            # the engine adds dt per sample, so a shorter period would
+            # decrement the weight estimate every step
+            raise ValueError(f"fdi.t_s = {self.fdi.t_s} s is shorter than "
+                             f"one step (dt = {self.dt} s)")
         if self.initial_state is None:
             self.initial_state = np.zeros(6)
         self.initial_state = np.asarray(self.initial_state, dtype=float)

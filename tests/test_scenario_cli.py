@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -151,6 +154,48 @@ class TestCli:
         assert main(["validate", str(path), "--override", override]) == 2
         assert not (tmp_path / "out" / "short.csv").exists()
 
+    @pytest.mark.parametrize("override", [
+        "vehicle.u_max=.nan", "vehicle.alpha=.nan", "vehicle.l=.inf",
+        "vehicle.K=[40,40,.inf,40]", "vehicle.inertia=[.nan,20,0.16]",
+        "gains.a1=[.nan,1,1]", "sim.initial_state=[.nan,0,0,0,0,0]",
+        "sim.settle_time=.nan", "trajectory.initial_pose=[0,.inf,0]",
+        "trajectory.segments=[{mode: straight, duration: 10, speed: .nan, "
+        "heading: 0}]",
+        "trajectory.segments=[{mode: hold, duration: .inf}]",
+        "faults=[{time: .nan, thruster: 1, weight: 0.5}]",
+        "faults=[{time: 2, thruster: 1, weight: .nan}]",
+    ])
+    def test_non_finite_field_rejected(self, tmp_path, capsys, override):
+        path = self.short_scenario(tmp_path, sim={"duration": 5.0,
+                                                  "settle_time": 1.0})
+        assert main(["run", str(path), "--out", str(tmp_path / "out"),
+                     "--override", override]) == 2
+        assert main(["validate", str(path), "--override", override]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "short.csv").exists()
+
+    @pytest.mark.parametrize("override", [
+        "sim.decimation=2.7", "fdi.n_consec=2.5",
+        "faults=[{time: 60, thruster: 1.5, weight: 0.5}]",
+    ])
+    def test_fractional_count_rejected(self, tmp_path, capsys, override):
+        path = self.short_scenario(tmp_path)
+        assert main(["validate", str(path), "--override", override]) == 2
+        assert "whole number" in capsys.readouterr().err
+
+    def test_integral_float_count_accepted(self):
+        sc = load_scenario("fig3_baseline", overrides=[
+            "sim.decimation=3.0", "fdi.n_consec=4.0"])
+        assert sc.decimation == 3 and type(sc.decimation) is int
+        assert sc.fdi.n_consec == 4 and type(sc.fdi.n_consec) is int
+
+    def test_update_period_below_one_step_rejected(self, tmp_path, capsys):
+        path = self.short_scenario(tmp_path)
+        assert main(["validate", str(path), "--override", "fdi.t_s=0.001"]) == 2
+        assert "shorter than one step" in capsys.readouterr().err
+        # exactly one step is the shortest admissible period
+        assert main(["validate", str(path), "--override", "fdi.t_s=0.01"]) == 0
+
     def test_validate_ok(self, capsys):
         assert main(["validate", "fig5_residual"]) == 0
         assert "valid" in capsys.readouterr().out
@@ -180,6 +225,73 @@ class TestCli:
         assert lines[1].split()[0] == "a"
         assert lines[2].split()[0] == "b"
 
+    def test_batch_outputs_match_run(self, tmp_path, capsys):
+        # the longest member first, so a worker finishing out of order
+        # would show in the table
+        refs = [self.short_scenario(tmp_path, name=name,
+                                    sim={"duration": duration})
+                for name, duration in (("zeta", 9.0), ("alpha", 2.0),
+                                       ("mid", 5.0))]
+        batch_out, run_out = tmp_path / "batch", tmp_path / "run"
+        assert main(["batch", *map(str, refs), "--out", str(batch_out)]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["zeta", "alpha", "mid"]
+        for ref in refs:
+            assert main(["run", str(ref), "--out", str(run_out)]) == 0
+
+        def summary(path):
+            return [line for line in path.read_text().splitlines()
+                    if not line.startswith("runtime:")]
+
+        for name in ("zeta", "alpha", "mid"):
+            assert ((batch_out / f"{name}.csv").read_bytes()
+                    == (run_out / f"{name}.csv").read_bytes())
+            assert (summary(batch_out / f"{name}_summary.txt")
+                    == summary(run_out / f"{name}_summary.txt"))
+
+    def test_batch_without_fork_writes_same_files(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # platforms without fork start the workers with a fresh interpreter
+        refs = [self.short_scenario(tmp_path, name=name)
+                for name in ("a", "b")]
+        fork_out, spawn_out = tmp_path / "fork", tmp_path / "spawn"
+        assert main(["batch", *map(str, refs), "--out", str(fork_out)]) == 0
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        assert main(["batch", *map(str, refs), "--out", str(spawn_out)]) == 0
+        for name in ("a", "b"):
+            assert ((spawn_out / f"{name}.csv").read_bytes()
+                    == (fork_out / f"{name}.csv").read_bytes())
+
+    def test_batch_io_failure_spares_other_members(self, tmp_path, capsys):
+        refs = [self.short_scenario(tmp_path, name=name)
+                for name in ("a", "b", "c")]
+        out = tmp_path / "out"
+        (out / "b.csv").mkdir(parents=True)
+        assert main(["batch", *map(str, refs), "--out", str(out)]) == 4
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert "i/o failure" in rows[1] and "i/o failure" not in rows[0] + rows[2]
+        for name in ("a", "c"):
+            assert (out / f"{name}.csv").is_file()
+            assert (out / f"{name}_summary.txt").is_file()
+
+    def test_batch_rejects_duplicate_names(self, tmp_path, capsys):
+        first, second = tmp_path / "first.yaml", tmp_path / "second.yaml"
+        for path in (first, second):
+            path.write_text("name: same\nsim: {duration: 2.0}\n")
+        assert main(["batch", str(first), str(second),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert str(first) in err and str(second) in err
+        assert not (tmp_path / "out" / "same.csv").exists()
+
+    def test_import_leaves_multiprocessing_out(self):
+        code = ("import sys, rovftc; "
+                "print('multiprocessing' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
+
     def test_batch_validates_upfront(self, tmp_path, capsys):
         good = self.short_scenario(tmp_path, name="good")
         bad = write_scenario(tmp_path, name="bad", gains={"a1": [0, 1, 1]})
@@ -198,3 +310,12 @@ class TestCli:
               "--decimation", "50"])
         rows = (tmp_path / "out" / "short.csv").read_text().splitlines()
         assert len(rows) == 1 + 11  # header + 5 s / (50 * 0.01 s) + final
+
+    @pytest.mark.parametrize("value", ["0", "-3", "2.5"])
+    def test_decimation_flag_rejects_bad_count(self, tmp_path, capsys, value):
+        path = self.short_scenario(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(path), "--out", str(tmp_path / "out"),
+                  "--decimation", value])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out" / "short.csv").exists()
