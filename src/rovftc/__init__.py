@@ -13,8 +13,7 @@ from .fdi import (FdiConfig, FdiEngine, FdiState, detect, detection_threshold,
 from .scenario import (ScenarioError, list_presets, load_scenario,
                        scenario_from_dict, validate_scenario)
 from .simulation import (COLUMNS, FaultEvent, FaultSchedule, Scenario,
-                         SimResult, Simulation, apply_fault_schedule,
-                         run_scenario)
+                         SimResult, Simulation, run_scenario)
 from .trajectory import Segment, TrajectoryPlan, reference_trajectory
 from .vehicle import (ThrusterBank, ThrusterGeometry, VehicleParams,
                       VehicleState, config_matrix, dynamics_rhs, eval_fv,

@@ -70,6 +70,34 @@ def _merge(base: dict, over: dict) -> dict:
     return out
 
 
+#: the fields each segment mode takes, besides `mode` itself
+_SEGMENT_FIELDS = {"straight": ("duration", "speed", "heading"),
+                   "turn": ("duration", "speed", "yaw_rate"),
+                   "hold": ("duration",)}
+
+
+def _mapping(raw, path: str, allowed=None) -> dict:
+    """`raw` as a mapping; with `allowed`, every key must be one of them,
+    so a misspelt key fails instead of leaving its default in force."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{path}: expected a mapping, got {raw!r}")
+    if allowed is not None:
+        unknown = [key for key in raw if key not in allowed]
+        if unknown:
+            raise ScenarioError(f"{path}: unknown keys {unknown}; allowed: "
+                                f"{', '.join(allowed)}")
+    return raw
+
+
+def _list(raw, path: str) -> list:
+    """`raw` as a list; null stands for an empty one."""
+    if raw is None:
+        return []
+    if not isinstance(raw, list):
+        raise ScenarioError(f"{path}: expected a list, got {raw!r}")
+    return raw
+
+
 def _number(raw, path: str) -> float:
     """A finite float. NaN would pass every `<=` range check further in
     and then turn comparisons such as saturation silently false."""
@@ -138,9 +166,12 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
 
 
 def scenario_from_dict(config: dict, name: str = "scenario") -> Scenario:
-    cfg = _merge(_defaults(), config)
+    defaults = _defaults()
+    cfg = _merge(defaults, config)
+    veh, g, fdi_cfg, sim, traj = (
+        _mapping(cfg[key], key, defaults[key])
+        for key in ("vehicle", "gains", "fdi", "sim", "trajectory"))
 
-    veh = cfg["vehicle"]
     try:
         params = VehicleParams(
             inertia=_matrix3(veh["inertia"], "vehicle.inertia"),
@@ -154,8 +185,8 @@ def scenario_from_dict(config: dict, name: str = "scenario") -> Scenario:
     try:
         fdi = FdiConfig(**{
             key: (_count if key == "n_consec" else _number)(val, f"fdi.{key}")
-            for key, val in cfg["fdi"].items()})
-    except (AttributeError, TypeError, ValueError) as exc:
+            for key, val in fdi_cfg.items()})
+    except ValueError as exc:
         raise ScenarioError(f"fdi: {exc}") from exc
 
     try:
@@ -171,7 +202,6 @@ def scenario_from_dict(config: dict, name: str = "scenario") -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"vehicle thrusters: {exc}") from exc
 
-    g = cfg["gains"]
     try:
         gains = ControllerGains(
             gamma1=_vector(g["gamma1"], 3, "gains.gamma1"),
@@ -182,16 +212,14 @@ def scenario_from_dict(config: dict, name: str = "scenario") -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"gains: {exc}") from exc
 
-    traj = cfg["trajectory"]
     segments = []
-    for i, seg in enumerate(traj.get("segments", [])):
+    for i, seg in enumerate(_list(traj["segments"], "trajectory.segments")):
         path = f"trajectory.segments[{i}]"
-        mode = seg.get("mode")
-        fields = {"straight": ("duration", "speed", "heading"),
-                  "turn": ("duration", "speed", "yaw_rate"),
-                  "hold": ("duration",)}.get(mode)
+        mode = _mapping(seg, path).get("mode")
+        fields = _SEGMENT_FIELDS.get(mode)
         if fields is None:
             raise ScenarioError(f"{path}: unknown mode {mode!r}")
+        _mapping(seg, path, ("mode", *fields))
         try:
             segments.append(Segment(mode, **{
                 key: _number(seg[key], f"{path}.{key}") for key in fields}))
@@ -205,16 +233,17 @@ def scenario_from_dict(config: dict, name: str = "scenario") -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"trajectory: {exc}") from exc
 
-    sim = cfg["sim"]
+    events = [_mapping(ev, f"faults[{i}]", ("time", "thruster", "weight"))
+              for i, ev in enumerate(_list(cfg.get("faults"), "faults"))]
     try:
         schedule = FaultSchedule(
             events=[(_number(ev["time"], f"faults[{i}].time"),
                      _count(ev["thruster"], f"faults[{i}].thruster"),
                      _number(ev["weight"], f"faults[{i}].weight"))
-                    for i, ev in enumerate(cfg.get("faults") or [])],
+                    for i, ev in enumerate(events)],
             settle_time=_number(sim["settle_time"], "sim.settle_time"),
         )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ScenarioError(f"faults: each event needs time/thruster/weight "
                             f"({exc})") from exc
     except ValueError as exc:

@@ -9,12 +9,16 @@ the global error scales with dt^4.
 
 The inner loop is written with unrolled scalar arithmetic; the matrix
 form of every formula lives in `vehicle`, `controller` and `allocation`,
-and the test suite checks the two paths against each other. Each step
-evaluates the control law 4 times: the boundary snapshot, which is
-exactly RK4 stage k1 (same time, state, allocation and thrust tables)
-and is reused as such, plus stages k2, k3 and k4. The reference is
-sampled once per distinct time: t, t + dt/2 (shared by k2 and k3) and
-t + dt.
+and the test suite checks the two paths against each other. That scalar
+path is one closure, built by `_control_fn` for each set of tables (once
+at the start, then again whenever a fault event or a reconfiguration
+changes the weights), with every table entry bound as a closure local.
+It computes the control snapshot and the state derivative in one pass.
+Each step evaluates it 4 times: the boundary snapshot, which is exactly
+RK4 stage k1 (same time, state and tables) and is reused as such, plus
+stages k2, k3 and k4, which ask only for the six derivatives. The
+reference is sampled once per distinct time: t, t + dt/2 (shared by k2
+and k3) and t + dt.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from .allocation import _distribution_matrix
 from .controller import ControllerGains
 from .fdi import FdiConfig, FdiEngine, reconfigure_step
 from .trajectory import TrajectoryPlan
-from .vehicle import ThrusterBank, ThrusterGeometry, VehicleParams, wrap_angle
+from .vehicle import (TWO_PI, ThrusterBank, ThrusterGeometry, VehicleParams,
+                      wrap_angle)
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -97,15 +102,6 @@ class FaultSchedule:
             prev_time = ev.time
 
 
-def apply_fault_schedule(t: float, schedule: FaultSchedule,
-                         bank: ThrusterBank) -> np.ndarray:
-    """Set the true weights to reflect every event with time <= t."""
-    for ev in schedule.events:
-        if ev.time <= t:
-            bank.w_true[ev.thruster - 1] = ev.weight
-    return bank.w_true
-
-
 @dataclass
 class Scenario:
     """Everything one closed-loop run needs."""
@@ -135,6 +131,11 @@ class Scenario:
             # decrement the weight estimate every step
             raise ValueError(f"fdi.t_s = {self.fdi.t_s} s is shorter than "
                              f"one step (dt = {self.dt} s)")
+        events = self.schedule.events
+        if events and events[-1].time >= self.duration:
+            raise ValueError(f"fault event at t={events[-1].time}: at or after "
+                             f"the end of the run ({self.duration} s), so it "
+                             "never acts on the plant")
         if self.initial_state is None:
             self.initial_state = np.zeros(6)
         self.initial_state = np.asarray(self.initial_state, dtype=float)
@@ -175,6 +176,103 @@ def _table(arr) -> tuple:
                  for x in np.asarray(arr, dtype=float).tolist())
 
 
+def _control_fn(params: VehicleParams, gains: ControllerGains,
+                geom: ThrusterGeometry, bank: ThrusterBank, alloc: tuple):
+    """The scalar hot path for one set of tables: `control(s, ref,
+    full=True)` runs controller, allocation, thrust and plant for state
+    `s` against the flat reference `ref` (a `TrajectoryPlan.sample_flat`
+    tuple). `alloc` holds the wrench-to-command rows; thrust comes from
+    `bank.K * bank.w_true`. With `full=False` (RK4 stages k2-k4) it
+    returns the state derivative (d0..d5) alone; otherwise the snapshot
+      (d0..d5, ex, ey, ep, edx, edy, edr, en1, en2, en3,
+       u1..u4, tc1, tc2, tc3, tu, tv, tr, sat)
+    whose first six entries are that same derivative."""
+    (m00, m01, m02), (m10, m11, m12), _ = _table(params.inertia)
+    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = _table(params.inertia_inv)
+    (l00, l01, l02), (l10, l11, l12), (l20, l21, l22) = _table(params.lin_damping)
+    q0, q1, q2 = _table(params.quad_damping)
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = _table(params.B)
+    (n00, n01, n02), (n10, n11, n12), (n20, n21, n22) = _table(params.B_inv)
+    k10, k11, k12 = _table(gains.a1 / gains.gamma1)
+    k20, k21, k22 = _table(gains.a2 / gains.gamma2)
+    kc0, kc1, kc2 = _table(gains.gamma1 / gains.gamma2)
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22), (a30, a31, a32) = alloc
+    # per-thruster wrench columns
+    (c1u, c1v, c1r), (c2u, c2v, c2r), (c3u, c3v, c3r), (c4u, c4v, c4r) = \
+        _table(geom.t_conf.T)
+    kw1, kw2, kw3, kw4 = _table(bank.K * bank.w_true)
+    um = float(bank.u_max)
+    cos, sin, fmod, pi = math.cos, math.sin, math.fmod, math.pi
+
+    def control(s: tuple, ref: tuple, full: bool = True) -> tuple:
+        X, Y, psi, u, v, r = s
+        cp, sp = cos(psi), sin(psi)
+        xd, yd, psid, vxd, vyd, rd, axd, ayd = ref
+        ex = xd - X
+        ey = yd - Y
+        ep = fmod(psid - psi + pi, TWO_PI)  # wrap_angle(psid - psi)
+        if ep <= 0.0:
+            ep += TWO_PI
+        ep -= pi
+        wx = vxd + k10 * ex
+        wy = vyd + k11 * ey
+        wp = rd + k12 * ep
+        al1 = cp * wx + sp * wy
+        al2 = -sp * wx + cp * wy
+        en1 = al1 - u
+        en2 = al2 - v
+        en3 = wp - r
+        xdot = cp * u - sp * v  # eta-dot, shared by e_dot and the plant
+        ydot = sp * u + cp * v
+        edx = vxd - xdot
+        edy = vyd - ydot
+        edr = rd - r
+        hx = axd + k10 * edx
+        hy = ayd + k11 * edy
+        ad1 = cp * hx + sp * hy + r * al2
+        ad2 = -sp * hx + cp * hy - r * al1
+        ad3 = k12 * edr
+        c13 = -(m10 * u + m11 * v + m12 * r)
+        c23 = m00 * u + m01 * v + m02 * r
+        t1 = c13 * r + (l00 * u + l01 * v + l02 * r + q0 * abs(u) * u)
+        t2 = c23 * r + (l10 * u + l11 * v + l12 * r + q1 * abs(v) * v)
+        t3 = (-c13 * u - c23 * v) + (l20 * u + l21 * v + l22 * r + q2 * abs(r) * r)
+        fv1 = -(i00 * t1 + i01 * t2 + i02 * t3)
+        fv2 = -(i10 * t1 + i11 * t2 + i12 * t3)
+        fv3 = -(i20 * t1 + i21 * t2 + i22 * t3)
+        in1 = ad1 - fv1 + k20 * en1 + kc0 * (cp * ex - sp * ey)
+        in2 = ad2 - fv2 + k21 * en2 + kc1 * (sp * ex + cp * ey)
+        in3 = ad3 - fv3 + k22 * en3 + kc2 * ep
+        tc1 = n00 * in1 + n01 * in2 + n02 * in3
+        tc2 = n10 * in1 + n11 * in2 + n12 * in3
+        tc3 = n20 * in1 + n21 * in2 + n22 * in3
+        ur1 = a00 * tc1 + a01 * tc2 + a02 * tc3
+        ur2 = a10 * tc1 + a11 * tc2 + a12 * tc3
+        ur3 = a20 * tc1 + a21 * tc2 + a22 * tc3
+        ur4 = a30 * tc1 + a31 * tc2 + a32 * tc3
+        u1 = um if ur1 > um else (-um if ur1 < -um else ur1)
+        u2 = um if ur2 > um else (-um if ur2 < -um else ur2)
+        u3 = um if ur3 > um else (-um if ur3 < -um else ur3)
+        u4 = um if ur4 > um else (-um if ur4 < -um else ur4)
+        f1 = kw1 * u1
+        f2 = kw2 * u2
+        f3 = kw3 * u3
+        f4 = kw4 * u4
+        tu = c1u * f1 + c2u * f2 + c3u * f3 + c4u * f4
+        tv = c1v * f1 + c2v * f2 + c3v * f3 + c4v * f4
+        tr = c1r * f1 + c2r * f2 + c3r * f3 + c4r * f4
+        d3 = fv1 + b00 * tu + b01 * tv + b02 * tr
+        d4 = fv2 + b10 * tu + b11 * tv + b12 * tr
+        d5 = fv3 + b20 * tu + b21 * tv + b22 * tr
+        if not full:
+            return (xdot, ydot, r, d3, d4, d5)
+        sat = (u1 != ur1) or (u2 != ur2) or (u3 != ur3) or (u4 != ur4)
+        return (xdot, ydot, r, d3, d4, d5, ex, ey, ep, edx, edy, edr,
+                en1, en2, en3, u1, u2, u3, u4, tc1, tc2, tc3, tu, tv, tr, sat)
+
+    return control
+
+
 class Simulation:
     """Owns the full closed-loop state for one scenario run."""
 
@@ -196,32 +294,18 @@ class Simulation:
         self.saturation_steps = 0
         self._event_idx = 0
         self._events = scenario.schedule.events
-        self._load_constants()
+        self._joint_idx = 0  # first joint not yet behind the clock
+        self._joints = (*self.plan.joint_times, math.inf)  # inf: no more joints
+        self._g1 = _table(self.gains.gamma1)
+        self._g2 = _table(self.gains.gamma2)
         self._refresh_allocation()
-        self._refresh_thrust()
 
     @property
     def state(self) -> np.ndarray:
         """Current (x, y, psi, u, v, r) as a fresh array."""
         return np.array(self._s)
 
-    # -- precomputed scalar tables -------------------------------------
-
-    def _load_constants(self):
-        p, g = self.params, self.gains
-        self._minv = _table(p.inertia_inv)
-        self._m = _table(p.inertia)
-        self._lin = _table(p.lin_damping)
-        self._quad = _table(p.quad_damping)
-        self._bmat = _table(p.B)
-        self._binv = _table(p.B_inv)
-        self._k1 = _table(g.a1 / g.gamma1)
-        self._k2 = _table(g.a2 / g.gamma2)
-        self._kc = _table(g.gamma1 / g.gamma2)
-        self._g1 = _table(g.gamma1)
-        self._g2 = _table(g.gamma2)
-        self._cols = _table(self.geom.t_conf.T)  # per-thruster wrench columns
-        self._umax = float(self.bank.u_max)
+    # -- tables -----------------------------------------------------------
 
     def _refresh_allocation(self):
         """Rebuild the wrench-to-command rows; called whenever the weight
@@ -231,194 +315,88 @@ class Simulation:
         rows = dist / np.where(active, self.bank.K * self.bank.w_hat, 1.0)[:, None]
         rows[~active, :] = 0.0
         self._alloc = _table(rows)
+        self._refresh_thrust()
 
     def _refresh_thrust(self):
-        self._kw = _table(self.bank.K * self.bank.w_true)
+        """Rebind the control closure and the recorded weights to the
+        current true weights, estimates and allocation rows."""
+        bank = self.bank
+        self._control = _control_fn(self.params, self.gains, self.geom, bank,
+                                    self._alloc)
+        self._weights = tuple(bank.w_true.tolist() + bank.w_hat.tolist())
 
-    # -- scalar hot path -----------------------------------------------
-
-    def _control(self, s: tuple, ref: tuple):
-        """Controller + allocation for state `s` against the flat reference
-        `ref` (a `TrajectoryPlan.sample_flat` tuple). Returns scalars:
-        (cp, sp, ex, ey, ep, edx, edy, edr, en1, en2, en3,
-         fv1, fv2, fv3, tc1, tc2, tc3, ur1..ur4, u1..u4, sat)."""
-        X, Y, psi, u, v, r = s
-        cp, sp = math.cos(psi), math.sin(psi)
-        xd, yd, psid, vxd, vyd, rd, axd, ayd = ref
-        ex = xd - X
-        ey = yd - Y
-        ep = wrap_angle(psid - psi)
-        k1 = self._k1
-        wx = vxd + k1[0] * ex
-        wy = vyd + k1[1] * ey
-        wp = rd + k1[2] * ep
-        al1 = cp * wx + sp * wy
-        al2 = -sp * wx + cp * wy
-        al3 = wp
-        en1 = al1 - u
-        en2 = al2 - v
-        en3 = al3 - r
-        edx = vxd - (cp * u - sp * v)
-        edy = vyd - (sp * u + cp * v)
-        edr = rd - r
-        hx = axd + k1[0] * edx
-        hy = ayd + k1[1] * edy
-        hp = k1[2] * edr
-        ad1 = cp * hx + sp * hy + r * al2
-        ad2 = -sp * hx + cp * hy - r * al1
-        ad3 = hp
-        m = self._m
-        c13 = -(m[1][0] * u + m[1][1] * v + m[1][2] * r)
-        c23 = m[0][0] * u + m[0][1] * v + m[0][2] * r
-        cn1 = c13 * r
-        cn2 = c23 * r
-        cn3 = -c13 * u - c23 * v
-        lin, q = self._lin, self._quad
-        dn1 = lin[0][0] * u + lin[0][1] * v + lin[0][2] * r + q[0] * abs(u) * u
-        dn2 = lin[1][0] * u + lin[1][1] * v + lin[1][2] * r + q[1] * abs(v) * v
-        dn3 = lin[2][0] * u + lin[2][1] * v + lin[2][2] * r + q[2] * abs(r) * r
-        t1 = cn1 + dn1
-        t2 = cn2 + dn2
-        t3 = cn3 + dn3
-        mi = self._minv
-        fv1 = -(mi[0][0] * t1 + mi[0][1] * t2 + mi[0][2] * t3)
-        fv2 = -(mi[1][0] * t1 + mi[1][1] * t2 + mi[1][2] * t3)
-        fv3 = -(mi[2][0] * t1 + mi[2][1] * t2 + mi[2][2] * t3)
-        k2, kc = self._k2, self._kc
-        je1 = cp * ex - sp * ey
-        je2 = sp * ex + cp * ey
-        in1 = ad1 - fv1 + k2[0] * en1 + kc[0] * je1
-        in2 = ad2 - fv2 + k2[1] * en2 + kc[1] * je2
-        in3 = ad3 - fv3 + k2[2] * en3 + kc[2] * ep
-        bi = self._binv
-        tc1 = bi[0][0] * in1 + bi[0][1] * in2 + bi[0][2] * in3
-        tc2 = bi[1][0] * in1 + bi[1][1] * in2 + bi[1][2] * in3
-        tc3 = bi[2][0] * in1 + bi[2][1] * in2 + bi[2][2] * in3
-        a = self._alloc
-        um = self._umax
-        ur1 = a[0][0] * tc1 + a[0][1] * tc2 + a[0][2] * tc3
-        ur2 = a[1][0] * tc1 + a[1][1] * tc2 + a[1][2] * tc3
-        ur3 = a[2][0] * tc1 + a[2][1] * tc2 + a[2][2] * tc3
-        ur4 = a[3][0] * tc1 + a[3][1] * tc2 + a[3][2] * tc3
-        u1 = um if ur1 > um else (-um if ur1 < -um else ur1)
-        u2 = um if ur2 > um else (-um if ur2 < -um else ur2)
-        u3 = um if ur3 > um else (-um if ur3 < -um else ur3)
-        u4 = um if ur4 > um else (-um if ur4 < -um else ur4)
-        sat = (u1 != ur1) or (u2 != ur2) or (u3 != ur3) or (u4 != ur4)
-        return (cp, sp, ex, ey, ep, edx, edy, edr, en1, en2, en3,
-                fv1, fv2, fv3, tc1, tc2, tc3,
-                ur1, ur2, ur3, ur4, u1, u2, u3, u4, sat)
-
-    def _rhs(self, t: float, s: tuple):
-        """State derivative at time t: `_deriv` of the `_control` snapshot."""
-        return self._deriv(s, self._control(s, self.plan.sample_flat(t)))
-
-    def _deriv(self, s: tuple, c: tuple):
-        """State derivative for state `s` under the control snapshot `c`."""
-        cp, sp = c[0], c[1]
-        fv1, fv2, fv3 = c[11], c[12], c[13]
-        u1, u2, u3, u4 = c[21], c[22], c[23], c[24]
-        kw = self._kw
-        f1 = kw[0] * u1
-        f2 = kw[1] * u2
-        f3 = kw[2] * u3
-        f4 = kw[3] * u4
-        cols = self._cols
-        tu = cols[0][0] * f1 + cols[1][0] * f2 + cols[2][0] * f3 + cols[3][0] * f4
-        tv = cols[0][1] * f1 + cols[1][1] * f2 + cols[2][1] * f3 + cols[3][1] * f4
-        tr = cols[0][2] * f1 + cols[1][2] * f2 + cols[2][2] * f3 + cols[3][2] * f4
-        b = self._bmat
-        u, v, r = s[3], s[4], s[5]
-        return (cp * u - sp * v,
-                sp * u + cp * v,
-                r,
-                fv1 + b[0][0] * tu + b[0][1] * tv + b[0][2] * tr,
-                fv2 + b[1][0] * tu + b[1][1] * tv + b[1][2] * tr,
-                fv3 + b[2][0] * tu + b[2][1] * tv + b[2][2] * tr)
+    # -- per-step work ----------------------------------------------------
 
     def _integrate(self, t: float, s: tuple, c: tuple) -> tuple:
-        """One RK4 step from (t, s); `c` is the control snapshot at (t, s),
-        so stage k1 needs no new control evaluation."""
+        """One RK4 step from (t, s); `c` is the full control snapshot at
+        (t, s), whose first six entries are stage k1."""
         dt = self.dt
         h = dt * 0.5
-        control, deriv = self._control, self._deriv
+        control = self._control
         sample = self.plan.sample_flat
         a0, a1, a2, a3, a4, a5 = s
-        k1 = deriv(s, c)
         ref = sample(t + h)
-        s2 = (a0 + h * k1[0], a1 + h * k1[1], a2 + h * k1[2],
-              a3 + h * k1[3], a4 + h * k1[4], a5 + h * k1[5])
-        k2 = deriv(s2, control(s2, ref))
-        s3 = (a0 + h * k2[0], a1 + h * k2[1], a2 + h * k2[2],
-              a3 + h * k2[3], a4 + h * k2[4], a5 + h * k2[5])
-        k3 = deriv(s3, control(s3, ref))
-        s4 = (a0 + dt * k3[0], a1 + dt * k3[1], a2 + dt * k3[2],
-              a3 + dt * k3[3], a4 + dt * k3[4], a5 + dt * k3[5])
-        k4 = deriv(s4, control(s4, sample(t + dt)))
+        k2 = control((a0 + h * c[0], a1 + h * c[1], a2 + h * c[2],
+                      a3 + h * c[3], a4 + h * c[4], a5 + h * c[5]), ref, False)
+        k3 = control((a0 + h * k2[0], a1 + h * k2[1], a2 + h * k2[2],
+                      a3 + h * k2[3], a4 + h * k2[4], a5 + h * k2[5]), ref, False)
+        k4 = control((a0 + dt * k3[0], a1 + dt * k3[1], a2 + dt * k3[2],
+                      a3 + dt * k3[3], a4 + dt * k3[4], a5 + dt * k3[5]),
+                     sample(t + dt), False)
         sx = dt / 6.0
-        return (a0 + sx * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
-                a1 + sx * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
-                a2 + sx * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2]),
-                a3 + sx * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3]),
-                a4 + sx * (k1[4] + 2.0 * (k2[4] + k3[4]) + k4[4]),
-                a5 + sx * (k1[5] + 2.0 * (k2[5] + k3[5]) + k4[5]))
-
-    # -- per-boundary work ----------------------------------------------
+        return (a0 + sx * (c[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
+                a1 + sx * (c[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
+                a2 + sx * (c[2] + 2.0 * (k2[2] + k3[2]) + k4[2]),
+                a3 + sx * (c[3] + 2.0 * (k2[3] + k3[3]) + k4[3]),
+                a4 + sx * (c[4] + 2.0 * (k2[4] + k3[4]) + k4[4]),
+                a5 + sx * (c[5] + 2.0 * (k2[5] + k3[5]) + k4[5]))
 
     def _boundary(self, t: float, want_row: bool = True):
         """Fault schedule, control snapshot, FDI update at a step start.
         Returns ((residual, threshold, |e_eta|), row-or-None, c), where c
-        is the final `_control` snapshot: the commands the plant receives
-        over the step, and RK4 stage k1's control."""
+        is the final full control snapshot: the commands the plant
+        receives over the step, and RK4 stage k1."""
         while (self._event_idx < len(self._events)
                and self._events[self._event_idx].time <= t + 1e-9):
             ev = self._events[self._event_idx]
             self.bank.w_true[ev.thruster - 1] = ev.weight
             self._refresh_thrust()
             self._event_idx += 1
+        # time only moves forward; same tolerance as `TrajectoryPlan.is_joint`
+        joints, j = self._joints, self._joint_idx
+        while t - joints[j] > 1e-9:
+            j += 1
+        self._joint_idx = j
 
         s = self._s
         ref = self.plan.sample_flat(t)
         c = self._control(s, ref)
-        e_eta = (c[2], c[3], c[4])
-        e_dot = (c[5], c[6], c[7])
-        u_cmd = (c[21], c[22], c[23], c[24])
-        due = self.engine.update(t, self.dt, e_eta, e_dot, u_cmd, s[2],
-                                 not self.plan.is_joint(t))
+        due = self.engine.update(t, self.dt, c[6:9], c[9:12], c[15:19], s[2],
+                                 abs(t - joints[j]) > 1e-9)
         if due is not None:
             self.bank.w_hat = reconfigure_step(self.bank.w_hat, due,
                                                self.engine.cfg)
             self._refresh_allocation()
             c = self._control(s, ref)  # commands the plant will now receive
-            u_cmd = (c[21], c[22], c[23], c[24])
         if c[25]:
             self.saturation_steps += 1
 
         st = self.engine.state
         hist = (st.residual, st.threshold,
-                math.sqrt(c[2] * c[2] + c[3] * c[3] + c[4] * c[4]))
+                math.sqrt(c[6] * c[6] + c[7] * c[7] + c[8] * c[8]))
         if not want_row:
             return hist, None, c
-        kw = self._kw
-        f1, f2, f3, f4 = (kw[0] * u_cmd[0], kw[1] * u_cmd[1],
-                          kw[2] * u_cmd[2], kw[3] * u_cmd[3])
-        cols = self._cols
-        tau = (cols[0][0] * f1 + cols[1][0] * f2 + cols[2][0] * f3 + cols[3][0] * f4,
-               cols[0][1] * f1 + cols[1][1] * f2 + cols[2][1] * f3 + cols[3][1] * f4,
-               cols[0][2] * f1 + cols[1][2] * f2 + cols[2][2] * f3 + cols[3][2] * f4)
         g1, g2 = self._g1, self._g2
-        v2 = 0.5 * (g1[0] * c[2] ** 2 + g1[1] * c[3] ** 2 + g1[2] * c[4] ** 2
-                    + g2[0] * c[8] ** 2 + g2[1] * c[9] ** 2 + g2[2] * c[10] ** 2)
-        row = (t, s[0], s[1], s[2], s[3], s[4], s[5],
-               ref[0], ref[1], wrap_angle(ref[2]),
-               c[2], c[3], c[4],
+        v2 = 0.5 * (g1[0] * c[6] ** 2 + g1[1] * c[7] ** 2 + g1[2] * c[8] ** 2
+                    + g2[0] * c[12] ** 2 + g2[1] * c[13] ** 2 + g2[2] * c[14] ** 2)
+        row = (t, *s, ref[0], ref[1], wrap_angle(ref[2]),
+               c[6], c[7], c[8],
                st.residual, st.threshold,
                1.0 if st.b_trig else 0.0,
                float(st.fault_num or 0),
-               *self.bank.w_true, *self.bank.w_hat,
-               *u_cmd,
-               c[14], c[15], c[16],
-               *tau, v2)
+               *self._weights,
+               *c[15:25],  # u1..u4, tau_c, tau
+               v2)
         return hist, row, c
 
     def _advance(self, t: float, c: tuple):

@@ -137,7 +137,7 @@ def test_04_deficit_sign_oracle():
                 sc = scenario_from_dict(cfg, name="oracle")
                 sim = Simulation(sc)
                 c = sim._control(tuple(sim.state), sc.plan.sample_flat(0.0))
-                u_cmd = c[21:25]
+                u_cmd = c[15:19]
                 pattern = predict_sign_pattern(thruster, u_cmd[thruster - 1],
                                                heading, sc.geometry,
                                                sc.fdi.eps_u, sc.fdi.eps_g)
@@ -146,7 +146,7 @@ def test_04_deficit_sign_oracle():
                 sim._refresh_thrust()
                 sim.step()
                 c2 = sim._control(tuple(sim.state), sc.plan.sample_flat(sc.dt))
-                e_dot = np.array(c2[5:8])
+                e_dot = np.array(c2[9:12])
                 assert np.abs(e_dot).min() > 1e-9, "deviation unresolvable"
                 measured = tuple(int(np.sign(x)) for x in e_dot)
                 combos.append((heading, speed, thruster, measured == pattern))

@@ -76,6 +76,59 @@ class TestValidation:
         issues = validate_scenario(str(path))
         assert issues and "unknown sections" in issues[0]
 
+    @pytest.mark.parametrize("sections, message", [
+        ({"vehicle": 5}, "vehicle: expected a mapping"),
+        ({"gains": [1.0, 1.0, 1.0]}, "gains: expected a mapping"),
+        ({"fdi": 3}, "fdi: expected a mapping"),
+        ({"sim": None}, "sim: expected a mapping"),
+        ({"trajectory": 7}, "trajectory: expected a mapping"),
+        ({"trajectory": {"segments": {"mode": "hold"}}},
+         "trajectory.segments: expected a list"),
+        ({"trajectory": {"segments": [5]}},
+         "trajectory.segments[0]: expected a mapping"),
+        ({"faults": 5}, "faults: expected a list"),
+        ({"faults": [5]}, "faults[0]: expected a mapping"),
+    ])
+    def test_malformed_section_rejected(self, tmp_path, capsys, sections,
+                                        message):
+        path = write_scenario(tmp_path, **sections)
+        assert main(["validate", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sections, message", [
+        ({"sim": {"durration": 3.0}}, "sim: unknown keys ['durration']"),
+        ({"vehicle": {"u_maxx": 2.0}}, "vehicle: unknown keys ['u_maxx']"),
+        ({"gains": {"a3": [1.0, 1.0, 1.0]}}, "gains: unknown keys ['a3']"),
+        ({"fdi": {"t_S": 4.0}}, "fdi: unknown keys ['t_S']"),
+        ({"trajectory": {"segment": []}}, "trajectory: unknown keys ['segment']"),
+        ({"trajectory": {"segments": [{"mode": "hold", "duration": 3.0,
+                                       "speed": 1.0}]}},
+         "trajectory.segments[0]: unknown keys ['speed']"),
+        ({"faults": [{"time": 60.0, "thruster": 1, "weight": 0.5,
+                      "when": 1.0}]},
+         "faults[0]: unknown keys ['when']"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, capsys, sections, message):
+        path = write_scenario(tmp_path, **sections)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert main(["validate", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "custom.csv").exists()
+
+    def test_null_lists_are_empty(self, tmp_path):
+        path = write_scenario(tmp_path, trajectory={"segments": None},
+                              faults=None)
+        sc = load_scenario(str(path))
+        assert sc.plan.segments == [] and sc.schedule.events == []
+
+    def test_fault_at_or_after_end_rejected(self, capsys):
+        # fault_thruster1 cuts thruster 1 at t = 100 s
+        assert main(["validate", "fault_thruster1",
+                     "--override", "sim.duration=100"]) == 2
+        assert "end of the run" in capsys.readouterr().err
+        assert main(["validate", "fault_thruster1",
+                     "--override", "sim.duration=100.01"]) == 0
+
     def test_parse_error_reported(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("vehicle: [unclosed\n")

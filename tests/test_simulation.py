@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,8 +7,7 @@ import pytest
 from rovftc.allocation import achieved_wrench, allocate
 from rovftc.controller import control_law, error_rate, tracking_errors
 from rovftc.scenario import scenario_from_dict
-from rovftc.simulation import (COLUMNS, FaultSchedule, Simulation,
-                               apply_fault_schedule, run_scenario)
+from rovftc.simulation import COLUMNS, FaultSchedule, Simulation, run_scenario
 from rovftc.vehicle import VehicleState, eval_fv, rotation_matrix
 
 HALF_PI = math.pi / 2
@@ -15,6 +15,38 @@ HALF_PI = math.pi / 2
 
 def make_scenario(name="case", **cfg):
     return scenario_from_dict(cfg, name=name)
+
+
+def fault_sim(faults):
+    """A 0.3 s run with no settle time, so faults can act from t = 0."""
+    return Simulation(make_scenario(
+        sim={"duration": 0.3, "settle_time": 0.0}, faults=faults))
+
+
+def crossing_cfg():
+    """10 s that cross everything the hot path branches on: thruster 1
+    drops to 30 % at t = 2 s and is identified; its weight estimate then
+    falls every 0.5 s; the commands saturate (u_max = 0.1); and a
+    straight-to-turn joint comes at t = 8 s."""
+    return {
+        "vehicle": {"u_max": 0.1},
+        "sim": {"duration": 10.0, "decimation": 1, "settle_time": 1.0,
+                "initial_state": [10.0, 5.0, HALF_PI, 1.0, 0.0, 0.0]},
+        "fdi": {"t_s": 0.5},
+        "trajectory": {"initial_pose": [10.0, 5.0, HALF_PI],
+                       "segments": [
+                           {"mode": "straight", "duration": 8.0,
+                            "speed": 1.0, "heading": HALF_PI},
+                           {"mode": "turn", "duration": 20.0,
+                            "speed": 1.0, "yaw_rate": 0.05}]},
+        "faults": [{"time": 2.0, "thruster": 1, "weight": 0.3}],
+    }
+
+
+#: sha256 of the decimation-1 CSV of `crossing_cfg`. Any change that moves
+#: one bit of a recorded value moves it; a change that does so on purpose
+#: says so and pins the new hash.
+CROSSING_CSV_SHA256 = "3baba17666c37e363e61306f01721db8e1f2112a9357ace7707fcc3cae11348c"
 
 
 class TestFaultSchedule:
@@ -36,22 +68,27 @@ class TestFaultSchedule:
         with pytest.raises(ValueError, match="weight"):
             FaultSchedule([(100.0, 1, 1.5)])
 
-    def test_apply_step_semantics(self, bank):
-        sched = FaultSchedule([(100.0, 2, 0.6)])
-        apply_fault_schedule(99.99, sched, bank)
-        assert bank.w_true[1] == 1.0
-        apply_fault_schedule(100.0, sched, bank)
-        assert bank.w_true[1] == 0.6
+    def test_apply_step_semantics(self):
+        sim = fault_sim([{"time": 0.05, "thruster": 2, "weight": 0.6}])
+        rows = [sim.step() for _ in range(5)]  # boundaries t = 0 .. 0.04
+        assert sim.bank.w_true[1] == 1.0
+        rows.append(sim.step())                # boundary t = 0.05
+        assert sim.bank.w_true[1] == 0.6
+        w2 = COLUMNS.index("W2")
+        assert [row[w2] for row in rows] == [1.0] * 5 + [0.6]
 
-    def test_sequential_events_accumulate(self, bank):
-        sched = FaultSchedule([(100.0, 1, 0.3), (200.0, 2, 0.0),
-                               (300.0, 3, 0.2), (400.0, 4, 0.1)])
-        apply_fault_schedule(1000.0, sched, bank)
-        assert np.allclose(bank.w_true, [0.3, 0.0, 0.2, 0.1])
+    def test_sequential_events_accumulate(self):
+        sim = fault_sim([{"time": 0.05, "thruster": 1, "weight": 0.3},
+                         {"time": 0.10, "thruster": 2, "weight": 0.0},
+                         {"time": 0.15, "thruster": 3, "weight": 0.2},
+                         {"time": 0.20, "thruster": 4, "weight": 0.1}])
+        sim.run()
+        assert np.allclose(sim.bank.w_true, [0.3, 0.0, 0.2, 0.1])
 
-    def test_empty_schedule(self, bank):
-        apply_fault_schedule(500.0, FaultSchedule([]), bank)
-        assert np.allclose(bank.w_true, 1.0)
+    def test_empty_schedule(self):
+        sim = fault_sim([])
+        sim.run()
+        assert np.allclose(sim.bank.w_true, 1.0)
 
 
 class TestStep:
@@ -92,35 +129,29 @@ class TestStep:
 
             c = sim._control(s, sc.plan.sample_flat(t))
             scale = max(1.0, np.abs(tau_c.as_array()).max())
-            assert np.abs(np.array(c[2:5]) - errors.e_eta).max() < 1e-9
-            assert np.abs(np.array(c[5:8]) - error_rate(state, ref)).max() < 1e-9
-            assert np.abs(np.array(c[14:17]) - tau_c.as_array()).max() < 1e-9 * scale
-            assert np.abs(np.array(c[21:25]) - alloc.u_cmd).max() < 1e-9
-            assert np.abs(np.array(sim._rhs(t, s)) - expected).max() < 1e-9 * scale
+            assert np.abs(np.array(c[6:9]) - errors.e_eta).max() < 1e-9
+            assert np.abs(np.array(c[9:12]) - error_rate(state, ref)).max() < 1e-9
+            assert np.abs(np.array(c[12:15]) - errors.e_nu).max() < 1e-9
+            assert np.abs(np.array(c[15:19]) - alloc.u_cmd).max() < 1e-9
+            assert np.abs(np.array(c[19:22]) - tau_c.as_array()).max() < 1e-9 * scale
+            assert np.abs(np.array(c[22:25]) - tau.as_array()).max() < 1e-9 * scale
+            assert c[25] == alloc.saturated
+            assert np.abs(np.array(c[:6]) - expected).max() < 1e-9 * scale
+            # the RK4 stage path returns the same derivative, bit for bit
+            assert sim._control(s, sc.plan.sample_flat(t), False) == c[:6]
 
     def test_boundary_snapshot_is_rk4_k1(self):
-        # thruster 1 drops to 30 % at t = 2 s, weight decrements every
-        # 0.5 s once identified, and a straight-to-turn joint at t = 8 s
-        cfg = {
-            "sim": {"duration": 10.0, "decimation": 1, "settle_time": 1.0,
-                    "initial_state": [10.0, 5.0, HALF_PI, 1.0, 0.0, 0.0]},
-            "fdi": {"t_s": 0.5},
-            "trajectory": {"initial_pose": [10.0, 5.0, HALF_PI],
-                           "segments": [
-                               {"mode": "straight", "duration": 8.0,
-                                "speed": 1.0, "heading": HALF_PI},
-                               {"mode": "turn", "duration": 20.0,
-                                "speed": 1.0, "yaw_rate": 0.05}]},
-            "faults": [{"time": 2.0, "thruster": 1, "weight": 0.3}],
-        }
+        cfg = crossing_cfg()
         sim = Simulation(make_scenario(**cfg))
         boundary = sim._boundary
         seen = []
 
         def checked_boundary(t, want_row=True):
             hist, row, c = boundary(t, want_row)
-            s = sim._s
-            assert sim._deriv(s, c) == sim._rhs(t, s)
+            s, ref = sim._s, sim.plan.sample_flat(t)
+            # the snapshot is taken after any reconfiguration at t
+            assert c == sim._control(s, ref)
+            assert c[:6] == sim._control(s, ref, False)
             seen.append(t)
             return hist, row, c
 
@@ -133,6 +164,44 @@ class TestStep:
 
         res = run_scenario(make_scenario(**cfg))
         assert np.array_equal(np.array(rows), res.rows[:-1])
+
+    def test_crossing_run_csv_bytes_pinned(self, tmp_path):
+        res = run_scenario(make_scenario(name="crossing", **crossing_cfg()))
+        s = res.summary
+        t = res.column("t")
+        wh1 = res.column("Wh1")
+        assert s["saturation_steps"] > 0
+        assert [num for _, num in s["identifications"]] == [1]
+        assert np.count_nonzero(np.diff(wh1)) >= 3
+        assert sum(map(make_scenario(**crossing_cfg()).plan.is_joint, t)) == 1
+        path = tmp_path / "crossing.csv"
+        res.write_csv(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == CROSSING_CSV_SHA256
+
+    def test_joint_flag_matches_plan(self):
+        sim = Simulation(make_scenario(
+            sim={"duration": 10.0},
+            trajectory={"initial_pose": [10.0, 5.0, HALF_PI],
+                        "segments": [
+                            {"mode": "straight", "duration": 2.3,
+                             "speed": 1.0, "heading": HALF_PI},
+                            {"mode": "turn", "duration": 2.9,
+                             "speed": 1.0, "yaw_rate": 0.05},
+                            {"mode": "straight", "duration": 20.0,
+                             "speed": 1.0, "heading": 1.0}]}))
+        update = sim.engine.update
+        flags = []
+
+        def spy(t, dt, e_eta, e_dot, u_cmd, psi, smooth):
+            flags.append((smooth, not sim.plan.is_joint(t)))
+            return update(t, dt, e_eta, e_dot, u_cmd, psi, smooth)
+
+        sim.engine.update = spy
+        sim.run()
+        assert len(flags) == sim.n_steps + 1
+        assert all(got == want for got, want in flags)
+        # joints at 2.3 s and 5.2 s, each a few ulps before its step time
+        assert [want for _, want in flags].count(False) == 2
 
     def test_divergence_guard(self):
         sc = make_scenario(
