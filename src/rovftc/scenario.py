@@ -100,7 +100,10 @@ def _list(raw, path: str) -> list:
 
 def _number(raw, path: str) -> float:
     """A finite float. NaN would pass every `<=` range check further in
-    and then turn comparisons such as saturation silently false."""
+    and then turn comparisons such as saturation silently false; a YAML
+    boolean (`true`, `yes`, `on`) would run as 1.0."""
+    if isinstance(raw, bool):
+        raise ScenarioError(f"{path}: expected a number, got {raw!r}")
     try:
         value = float(raw)
     except (TypeError, ValueError) as exc:
@@ -111,18 +114,22 @@ def _number(raw, path: str) -> float:
 
 
 def _count(raw, path: str) -> int:
-    """A whole number; integral floats such as 3.0 are accepted."""
-    value = _number(raw, path)
-    if value != int(value):
+    """A whole number; integral floats such as 3.0 are accepted, booleans
+    are not."""
+    value = None if isinstance(raw, bool) else _number(raw, path)
+    if value is None or value != int(value):
         raise ScenarioError(f"{path}: expected a whole number, got {raw!r}")
     return int(value)
 
 
 def _array(raw, path: str) -> np.ndarray:
     try:
-        arr = np.asarray(raw, dtype=float)
+        entries = np.asarray(raw, dtype=object)
+        arr = entries.astype(float)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}: expected numbers, got {raw!r}") from exc
+    if any(isinstance(x, bool) for x in entries.flat):
+        raise ScenarioError(f"{path}: expected numbers, got {raw!r}")
     if not np.isfinite(arr).all():
         raise ScenarioError(f"{path}: entries must be finite, got {raw!r}")
     return arr
@@ -167,6 +174,10 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
 
 def scenario_from_dict(config: dict, name: str = "scenario") -> Scenario:
     defaults = _defaults()
+    unknown = sorted(set(_mapping(config, "scenario")) - set(defaults))
+    if unknown:
+        raise ScenarioError(f"unknown sections {unknown}; allowed: "
+                            f"{', '.join(defaults)}")
     cfg = _merge(defaults, config)
     veh, g, fdi_cfg, sim, traj = (
         _mapping(cfg[key], key, defaults[key])
@@ -273,10 +284,6 @@ def load_scenario(ref: str, overrides: list[str] | None = None) -> Scenario:
             raise ScenarioError(f"{path}: YAML parse error: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: top level must be a mapping")
-    known = {"vehicle", "gains", "fdi", "sim", "trajectory", "faults", "name"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ScenarioError(f"{path}: unknown sections {sorted(unknown)}")
     name = raw.pop("name", path.stem)
     if overrides:
         raw = apply_overrides(_merge(_defaults(), raw), list(overrides))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -132,15 +133,22 @@ class Scenario:
             raise ValueError(f"fdi.t_s = {self.fdi.t_s} s is shorter than "
                              f"one step (dt = {self.dt} s)")
         events = self.schedule.events
-        if events and events[-1].time >= self.duration:
-            raise ValueError(f"fault event at t={events[-1].time}: at or after "
-                             f"the end of the run ({self.duration} s), so it "
-                             "never acts on the plant")
+        last = (self.n_steps - 1) * self.dt  # start of the last step
+        if events and events[-1].time > last + 1e-9:  # `_boundary` tolerance
+            raise ValueError(f"fault event at t={events[-1].time}: after the "
+                             f"last step starts ({last:.6g} s, end of the run "
+                             f"{self.duration} s), so it never acts on the plant")
         if self.initial_state is None:
             self.initial_state = np.zeros(6)
         self.initial_state = np.asarray(self.initial_state, dtype=float)
         if self.initial_state.shape != (6,):
             raise ValueError("initial_state must have 6 entries")
+
+    @property
+    def n_steps(self) -> int:
+        """Integration steps in the run; the last one starts at
+        (n_steps - 1) * dt."""
+        return round(self.duration / self.dt)
 
 
 @dataclass
@@ -156,11 +164,13 @@ class SimResult:
         return self.rows[:, COLUMNS.index(name)]
 
     def write_csv(self, path):
+        """Formats each row straight from the float64 data, no list copy."""
+        width = len(self.columns)
+        cells = iter(memoryview(np.ascontiguousarray(self.rows, dtype=float).ravel()))
+        line = ",".join(["%.12g"] * width) + "\n"
         with open(path, "w", newline="") as fh:
             fh.write(",".join(self.columns) + "\n")
-            line = ",".join(["%.12g"] * len(self.columns)) + "\n"
-            for row in self.rows.tolist():
-                fh.write(line % tuple(row))
+            fh.writelines(line % row for row in zip(*[cells] * width))
             if self.diverged:
                 fh.write(f"# aborted: state divergence at t={self.diverged_time:.6g}\n")
 
@@ -285,7 +295,7 @@ class Simulation:
         self.plan = scenario.plan
         self.engine = FdiEngine(scenario.fdi, scenario.geometry)
         self.dt = scenario.dt
-        self.n_steps = int(round(scenario.duration / scenario.dt))
+        self.n_steps = scenario.n_steps
         self.k = 0
         s0 = [float(x) for x in scenario.initial_state]
         s0[2] = wrap_angle(s0[2])
@@ -423,21 +433,17 @@ class Simulation:
 
     def run(self) -> SimResult:
         sc = self.scenario
-        rows = []
-        residual_hist = []
-        enorm_hist = []
-        thresh_hist = []
+        rows = array("d")  # the kept rows, flat; numpy views both buffers
+        hist = array("d")  # (residual, threshold, |e_eta|) of every step
         started = time.perf_counter()
         diverged_time = None
         while self.k <= self.n_steps:
             t = self.k * self.dt
             record = (self.k % sc.decimation == 0)
-            hist, row, c = self._boundary(t, want_row=record)
-            residual_hist.append(hist[0])
-            thresh_hist.append(hist[1])
-            enorm_hist.append(hist[2])
+            step_hist, row, c = self._boundary(t, want_row=record)
+            hist.extend(step_hist)
             if record:
-                rows.append(row)
+                rows.extend(row)
             if self.k == self.n_steps:
                 break
             self._advance(t, c)
@@ -445,12 +451,11 @@ class Simulation:
                 diverged_time = self.k * self.dt
                 break
         runtime = time.perf_counter() - started
-        summary = self._build_summary(np.array(residual_hist),
-                                      np.array(thresh_hist),
-                                      np.array(enorm_hist),
+        summary = self._build_summary(*np.frombuffer(hist).reshape(-1, 3).T,
                                       runtime, diverged_time)
-        return SimResult(sc.name, COLUMNS, np.array(rows), summary,
-                         self.diverged, diverged_time)
+        return SimResult(sc.name, COLUMNS,
+                         np.frombuffer(rows).reshape(-1, len(COLUMNS)),
+                         summary, self.diverged, diverged_time)
 
     # -- summary ----------------------------------------------------------
 

@@ -9,7 +9,8 @@ import yaml
 
 from rovftc.cli import main
 from rovftc.scenario import (ScenarioError, apply_overrides, list_presets,
-                             load_scenario, preset_path, validate_scenario)
+                             load_scenario, preset_path, scenario_from_dict,
+                             validate_scenario)
 from rovftc.simulation import COLUMNS
 
 ALL_PRESETS = [
@@ -75,6 +76,10 @@ class TestValidation:
         path = write_scenario(tmp_path, thrust={"K": [1, 1, 1, 1]})
         issues = validate_scenario(str(path))
         assert issues and "unknown sections" in issues[0]
+        # the library entry point checks section names too
+        with pytest.raises(ScenarioError, match="unknown sections"):
+            scenario_from_dict({"fualts": [
+                {"time": 60.0, "thruster": 1, "weight": 0.5}]})
 
     @pytest.mark.parametrize("sections, message", [
         ({"vehicle": 5}, "vehicle: expected a mapping"),
@@ -125,6 +130,10 @@ class TestValidation:
         # fault_thruster1 cuts thruster 1 at t = 100 s
         assert main(["validate", "fault_thruster1",
                      "--override", "sim.duration=100"]) == 2
+        assert "end of the run" in capsys.readouterr().err
+        # 100.004 s is 10 000 steps, the last starting at 99.99 s
+        assert main(["validate", "fault_thruster1",
+                     "--override", "sim.duration=100.004"]) == 2
         assert "end of the run" in capsys.readouterr().err
         assert main(["validate", "fault_thruster1",
                      "--override", "sim.duration=100.01"]) == 0
@@ -198,7 +207,8 @@ class TestCli:
 
     @pytest.mark.parametrize("override", [
         "sim.dt=.nan", "sim.duration=.nan", "fdi.c1=.nan", "fdi.c2=.nan",
-        "sim.dt=.inf",
+        "sim.dt=.inf", "vehicle.u_max=true", "fdi.c1=yes",
+        "gains.a1=[1,true,1]",
     ])
     def test_non_finite_value_rejected(self, tmp_path, capsys, override):
         path = self.short_scenario(tmp_path)
@@ -230,6 +240,8 @@ class TestCli:
     @pytest.mark.parametrize("override", [
         "sim.decimation=2.7", "fdi.n_consec=2.5",
         "faults=[{time: 60, thruster: 1.5, weight: 0.5}]",
+        "sim.decimation=on", "fdi.n_consec=yes",
+        "faults=[{time: 60, thruster: true, weight: 0.5}]",
     ])
     def test_fractional_count_rejected(self, tmp_path, capsys, override):
         path = self.short_scenario(tmp_path)

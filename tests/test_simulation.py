@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,15 @@ def crossing_cfg():
                             "speed": 1.0, "yaw_rate": 0.05}]},
         "faults": [{"time": 2.0, "thruster": 1, "weight": 0.3}],
     }
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory allocated while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 #: sha256 of the decimation-1 CSV of `crossing_cfg`. Any change that moves
@@ -278,6 +288,21 @@ class TestRun:
         res.write_csv(path)
         assert path.read_text().rstrip().endswith(
             f"# aborted: state divergence at t={res.diverged_time:.6g}")
+
+    def test_run_holds_the_record_once(self):
+        # 3 001 rows of 36 float64: 864 288 bytes. The rows as Python
+        # tuples of floats would need about five times that.
+        sc = make_scenario(sim={"duration": 30.0, "decimation": 1})
+        res, peak = traced_peak(lambda: Simulation(sc).run())
+        assert res.rows.shape == (3001, len(COLUMNS))
+        assert res.rows.dtype == np.float64
+        assert peak < 2 * res.rows.nbytes
+
+    def test_write_csv_streams_the_record(self, tmp_path):
+        res = run_scenario(make_scenario(sim={"duration": 30.0,
+                                              "decimation": 1}))
+        _, peak = traced_peak(res.write_csv, tmp_path / "record.csv")
+        assert peak < 0.25 * res.rows.nbytes
 
     def test_integration_order_on_smooth_run(self):
         # transient-phase global error shrinks ~16x when dt halves
