@@ -17,22 +17,6 @@ import numpy as np
 from .vehicle import ThrusterBank, ThrusterGeometry
 
 
-class Wrench(NamedTuple):
-    """Body-frame force/moment set point [N, N, N m]."""
-
-    tau_u: float
-    tau_v: float
-    tau_r: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self, dtype=float)
-
-    @classmethod
-    def from_array(cls, a) -> "Wrench":
-        a = np.asarray(a, dtype=float)
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
-
 class AllocationResult(NamedTuple):
     u_raw: np.ndarray    # commands before saturation
     u_cmd: np.ndarray    # commands clamped to [-u_max, u_max]
@@ -73,7 +57,7 @@ def allocate(tau_c, bank: ThrusterBank, geom: ThrusterGeometry) -> AllocationRes
     upstream). Estimates exactly at the floor mark failed thrusters and
     are excluded from the distribution.
     """
-    tau = tau_c.as_array() if isinstance(tau_c, Wrench) else np.asarray(tau_c, dtype=float)
+    tau = np.asarray(tau_c, dtype=float)
     if np.any(bank.w_hat < bank.w_min - 1e-12):
         raise ValueError("weight estimate below the floor w_min")
     active = ~bank.failed_mask()
@@ -83,9 +67,9 @@ def allocate(tau_c, bank: ThrusterBank, geom: ThrusterGeometry) -> AllocationRes
     return AllocationResult(u_raw, u_cmd, bool(np.any(np.abs(u_raw) > bank.u_max)))
 
 
-def achieved_wrench(u_cmd, bank: ThrusterBank, geom: ThrusterGeometry) -> Wrench:
-    """Wrench actually delivered by the bank: T_conf K W u. Equals the
-    commanded wrench when the estimate matches the true weights and no
-    command saturates."""
+def achieved_wrench(u_cmd, bank: ThrusterBank, geom: ThrusterGeometry) -> np.ndarray:
+    """Wrench [tau_u, tau_v, tau_r] actually delivered by the bank:
+    T_conf K W u. Equals the commanded wrench when the estimate matches
+    the true weights and no command saturates."""
     u_cmd = np.asarray(u_cmd, dtype=float)
-    return Wrench.from_array(geom.t_conf @ (bank.K * bank.w_true * u_cmd))
+    return geom.t_conf @ (bank.K * bank.w_true * u_cmd)

@@ -19,7 +19,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .allocation import Wrench
 from .vehicle import (VehicleParams, VehicleState, eval_fv, rotation_matrix,
                       wrap_angle)
 
@@ -117,8 +116,8 @@ def tracking_errors(state: VehicleState, ref: ReferenceSample,
 
 def control_law(state: VehicleState, ref: ReferenceSample,
                 errors: TrackingErrors, gains: ControllerGains,
-                params: VehicleParams):
-    """Commanded wrench
+                params: VehicleParams) -> np.ndarray:
+    """Commanded wrench [tau_u, tau_v, tau_r]
 
         tau_c = B^-1 (alpha_nu_dot - F_V + Gamma2^-1 A2 e_nu
                       + Gamma2^-1 Gamma1 J e_eta).
@@ -131,7 +130,7 @@ def control_law(state: VehicleState, ref: ReferenceSample,
     inner = (alpha_dot - fv
              + (gains.a2 / gains.gamma2) * errors.e_nu
              + (gains.gamma1 / gains.gamma2) * (j @ errors.e_eta))
-    return Wrench.from_array(params.B_inv @ inner)
+    return params.B_inv @ inner
 
 
 def lyapunov_value(errors: TrackingErrors, gains: ControllerGains) -> float:

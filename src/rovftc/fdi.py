@@ -95,31 +95,24 @@ def detection_threshold(cfg: FdiConfig, smooth: bool,
     return value
 
 
-def detect(residual_value: float, threshold: float) -> bool:
-    """Strict comparison: a residual exactly at the threshold stays
-    quiet."""
-    return residual_value > threshold
-
-
 def predict_sign_pattern(thruster: int, u_i: float, psi: float,
                          geom: ThrusterGeometry,
-                         eps_u: float = 0.01,
-                         eps_g: float = 0.1) -> tuple[int, int, int]:
+                         cfg: FdiConfig) -> tuple[int, int, int]:
     """Expected signs of (x_e, y_e, psi_e) rates if thruster `thruster`
     (1-based) loses part of its output while commanded u_i at heading psi.
 
-    Components with |u_i| below the dead-band or a geometric factor below
-    eps_g are 0 (indeterminate).
+    Components with |u_i| below the dead-band cfg.eps_u or a geometric
+    factor below cfg.eps_g are 0 (indeterminate).
     """
-    if abs(u_i) < eps_u:
+    if abs(u_i) < cfg.eps_u:
         return (0, 0, 0)
-    b = geom.column(thruster)
+    b = geom.t_conf[:, thruster - 1]
     c, s = math.cos(psi), math.sin(psi)
     dx = c * b[0] - s * b[1]
     dy = s * b[0] + c * b[1]
-    sx = 0 if abs(dx) < eps_g else int(math.copysign(1.0, u_i * dx))
-    sy = 0 if abs(dy) < eps_g else int(math.copysign(1.0, u_i * dy))
-    sp = 0 if abs(b[2]) < eps_g * geom.l else int(math.copysign(1.0, u_i * b[2]))
+    sx = 0 if abs(dx) < cfg.eps_g else int(math.copysign(1.0, u_i * dx))
+    sy = 0 if abs(dy) < cfg.eps_g else int(math.copysign(1.0, u_i * dy))
+    sp = 0 if abs(b[2]) < cfg.eps_g * geom.l else int(math.copysign(1.0, u_i * b[2]))
     return (sx, sy, sp)
 
 
@@ -136,8 +129,7 @@ def identify_fault(e_eta_dot, u_cmd, psi: float, cfg: FdiConfig,
                               float(e_eta_dot[2]))
     candidates = []
     for i in range(1, 5):
-        sx, sy, sp = predict_sign_pattern(i, float(u_cmd[i - 1]), psi, geom,
-                                          cfg.eps_u, cfg.eps_g)
+        sx, sy, sp = predict_sign_pattern(i, float(u_cmd[i - 1]), psi, geom, cfg)
         if sx == 0 or sy == 0 or sp == 0:
             continue
         if (ex_dot * sx > cfg.delta1 and ey_dot * sy > cfg.delta1
@@ -185,7 +177,7 @@ class FdiEngine:
         in_hold = t <= self._hold_until
         st.residual = residual(e_eta, cfg.c1)
         st.threshold = detection_threshold(cfg, smooth, in_hold_window=in_hold)
-        above = detect(st.residual, st.threshold)
+        above = st.residual > st.threshold  # exactly at the threshold stays quiet
 
         if not st.armed:
             if not above:

@@ -168,7 +168,10 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
         leaf = parts[-1]
         if leaf not in node:
             raise ScenarioError(f"override {key!r}: no such config key")
-        node[leaf] = yaml.safe_load(raw)
+        try:
+            node[leaf] = yaml.safe_load(raw)
+        except yaml.YAMLError as exc:
+            raise ScenarioError(f"override {key!r}: {raw!r} is not valid YAML") from exc
     return out
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from .allocation import _distribution_matrix
 from .controller import ControllerGains
 from .fdi import FdiConfig, FdiEngine, reconfigure_step
-from .trajectory import TrajectoryPlan
+from .trajectory import TIME_TOL, TrajectoryPlan
 from .vehicle import (TWO_PI, ThrusterBank, ThrusterGeometry, VehicleParams,
                       wrap_angle)
 
@@ -134,10 +134,13 @@ class Scenario:
                              f"one step (dt = {self.dt} s)")
         events = self.schedule.events
         last = (self.n_steps - 1) * self.dt  # start of the last step
-        if events and events[-1].time > last + 1e-9:  # `_boundary` tolerance
+        if events and events[-1].time > last + TIME_TOL:
             raise ValueError(f"fault event at t={events[-1].time}: after the "
                              f"last step starts ({last:.6g} s, end of the run "
                              f"{self.duration} s), so it never acts on the plant")
+        if self.n_steps < 1 or abs(self.duration - self.n_steps * self.dt) > TIME_TOL:
+            raise ValueError(f"duration {self.duration} s is not a whole number "
+                             f"of steps of dt = {self.dt} s")
         if self.initial_state is None:
             self.initial_state = np.zeros(6)
         self.initial_state = np.asarray(self.initial_state, dtype=float)
@@ -173,9 +176,6 @@ class SimResult:
             fh.writelines(line % row for row in zip(*[cells] * width))
             if self.diverged:
                 fh.write(f"# aborted: state divergence at t={self.diverged_time:.6g}\n")
-
-    def summary_text(self) -> str:
-        return format_summary(self.summary)
 
 
 def _table(arr) -> tuple:
@@ -367,14 +367,14 @@ class Simulation:
         is the final full control snapshot: the commands the plant
         receives over the step, and RK4 stage k1."""
         while (self._event_idx < len(self._events)
-               and self._events[self._event_idx].time <= t + 1e-9):
+               and self._events[self._event_idx].time <= t + TIME_TOL):
             ev = self._events[self._event_idx]
             self.bank.w_true[ev.thruster - 1] = ev.weight
             self._refresh_thrust()
             self._event_idx += 1
         # time only moves forward; same tolerance as `TrajectoryPlan.is_joint`
         joints, j = self._joints, self._joint_idx
-        while t - joints[j] > 1e-9:
+        while t - joints[j] > TIME_TOL:
             j += 1
         self._joint_idx = j
 
@@ -382,7 +382,7 @@ class Simulation:
         ref = self.plan.sample_flat(t)
         c = self._control(s, ref)
         due = self.engine.update(t, self.dt, c[6:9], c[9:12], c[15:19], s[2],
-                                 abs(t - joints[j]) > 1e-9)
+                                 abs(t - joints[j]) > TIME_TOL)
         if due is not None:
             self.bank.w_hat = reconfigure_step(self.bank.w_hat, due,
                                                self.engine.cfg)
@@ -536,11 +536,6 @@ class Simulation:
                                         or (e["detected_at"] is not None
                                             and e["identified"] is None)],
         }
-
-
-def run_scenario(scenario: Scenario) -> SimResult:
-    """Run one scenario start to finish."""
-    return Simulation(scenario).run()
 
 
 def format_summary(summary: dict, overrides: list | None = None) -> str:

@@ -13,6 +13,9 @@ import numpy as np
 
 from .controller import ReferenceSample
 
+#: times closer than this are one instant (joint, fault event, end of run)
+TIME_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -113,21 +116,16 @@ class TrajectoryPlan:
                 seg.speed * cp, seg.speed * sp, seg.yaw_rate,
                 -seg.speed * seg.yaw_rate * sp, seg.speed * seg.yaw_rate * cp)
 
-    def is_joint(self, t: float, tol: float = 1e-9) -> bool:
-        return any(abs(t - j) <= tol for j in self.joint_times)
+    def is_joint(self, t: float) -> bool:
+        return any(abs(t - j) <= TIME_TOL for j in self.joint_times)
 
-    def sample(self, t: float, joint_tol: float = 1e-9) -> ReferenceSample:
-        """Reference at time t; the smooth flag is False exactly at
-        segment joints (within joint_tol)."""
+    def sample(self, t: float) -> ReferenceSample:
+        """Reference at time t >= 0; the smooth flag is False exactly at
+        segment joints (within TIME_TOL)."""
+        if t < 0.0:
+            raise ValueError("time must be non-negative")
         xd, yd, psid, vx, vy, rd, ax, ay = self.sample_flat(t)
         return ReferenceSample(np.array([xd, yd, psid]),
                                np.array([vx, vy, rd]),
                                np.array([ax, ay, 0.0]),
-                               smooth=not self.is_joint(t, joint_tol))
-
-
-def reference_trajectory(t: float, plan: TrajectoryPlan) -> ReferenceSample:
-    """Sample a plan at time t (holds the final pose past the end)."""
-    if t < 0.0:
-        raise ValueError("time must be non-negative")
-    return plan.sample(t)
+                               smooth=not self.is_joint(t))

@@ -59,11 +59,6 @@ class VehicleState:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.psi, self.u, self.v, self.r])
 
-    @classmethod
-    def from_array(cls, x) -> "VehicleState":
-        x = np.asarray(x, dtype=float)
-        return cls(*x.tolist())
-
 
 @dataclass
 class VehicleParams:
@@ -78,6 +73,8 @@ class VehicleParams:
     lin_damping: np.ndarray   # 3x3, N s/m scale
     quad_damping: np.ndarray  # 3 coefficients, N s^2/m^2 scale
     B: np.ndarray             # 3x3, acceleration per unit wrench
+    inertia_inv: np.ndarray = field(init=False)
+    B_inv: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.inertia = np.asarray(self.inertia, dtype=float)
@@ -98,16 +95,8 @@ class VehicleParams:
         sym_b = 0.5 * (self.B + self.B.T)
         if np.any(np.linalg.eigvalsh(sym_b) <= 0.0):
             raise ValueError("B must be strictly positive definite")
-        self._m_inv = np.linalg.inv(self.inertia)
-        self._b_inv = np.linalg.inv(self.B)
-
-    @property
-    def inertia_inv(self) -> np.ndarray:
-        return self._m_inv
-
-    @property
-    def B_inv(self) -> np.ndarray:
-        return self._b_inv
+        self.inertia_inv = np.linalg.inv(self.inertia)
+        self.B_inv = np.linalg.inv(self.B)
 
 
 def coriolis_vector(nu: np.ndarray, inertia: np.ndarray) -> np.ndarray:
@@ -180,10 +169,6 @@ class ThrusterGeometry:
     def __post_init__(self):
         self.t_conf = config_matrix(self.alpha, self.l)
 
-    def column(self, thruster: int) -> np.ndarray:
-        """Wrench direction of a thruster (1-based index)."""
-        return self.t_conf[:, thruster - 1]
-
 
 @dataclass
 class ThrusterBank:
@@ -228,10 +213,3 @@ class ThrusterBank:
     def copy(self) -> "ThrusterBank":
         return ThrusterBank(self.K.copy(), self.w_true.copy(),
                             self.w_hat.copy(), self.u_max, self.w_min)
-
-
-def thrust_forces(u_cmd, bank: ThrusterBank) -> np.ndarray:
-    """Per-thruster force F_i = K_i W_i u_i; the sign of u_i selects
-    forward or reverse thrust."""
-    u_cmd = np.asarray(u_cmd, dtype=float)
-    return bank.K * bank.w_true * u_cmd

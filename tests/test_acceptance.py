@@ -10,7 +10,7 @@ import pytest
 from rovftc.allocation import achieved_wrench, allocate
 from rovftc.fdi import predict_sign_pattern
 from rovftc.scenario import load_scenario, scenario_from_dict
-from rovftc.simulation import Simulation, run_scenario
+from rovftc.simulation import Simulation
 from rovftc.vehicle import ThrusterBank
 
 HALF_PI = math.pi / 2
@@ -24,22 +24,22 @@ def report(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def baseline():
-    return run_scenario(load_scenario("fig3_baseline"))
+    return Simulation(load_scenario("fig3_baseline")).run()
 
 
 @pytest.fixture(scope="module")
 def sequential():
-    return run_scenario(load_scenario("fig6_sequential"))
+    return Simulation(load_scenario("fig6_sequential")).run()
 
 
 @pytest.fixture(scope="module")
 def failure():
-    return run_scenario(load_scenario("fig7_failure"))
+    return Simulation(load_scenario("fig7_failure")).run()
 
 
 @pytest.fixture(scope="module")
 def ts_stress():
-    return run_scenario(load_scenario("fig10_ts_stress"))
+    return Simulation(load_scenario("fig10_ts_stress")).run()
 
 
 def outside_hold_windows(t, joints, hold):
@@ -78,7 +78,7 @@ def test_02_exponential_decay():
                                      "speed": 1.0, "heading": HALF_PI}]},
     }, name="decay")
     lam = sc.gains.decay_rate
-    res = run_scenario(sc)
+    res = Simulation(sc).run()
     assert res.summary["saturation_steps"] == 0, "decay run must stay linear"
     v2 = res.column("V2")
     t = res.column("t")
@@ -98,7 +98,7 @@ def test_02_exponential_decay():
            f"{len(dv)} steps; |e_eta| <= 0.05 for t >= t_c={t_c:.2f} s")
 
 
-def test_03_sign_table_exact(geom):
+def test_03_sign_table_exact(geom, fdi_cfg):
     alpha = geom.alpha
     rows = {
         (+1, +1, +1): (+1, +1, -1),
@@ -114,7 +114,7 @@ def test_03_sign_table_exact(geom):
                (-1, -1): alpha - 3 * math.pi / 4, (+1, -1): alpha - math.pi / 4}
     mismatches = []
     for (su, sc_, ss), expected in rows.items():
-        got = predict_sign_pattern(1, su * 0.5, heading[(sc_, ss)], geom)
+        got = predict_sign_pattern(1, su * 0.5, heading[(sc_, ss)], geom, fdi_cfg)
         if got != expected:
             mismatches.append(((su, sc_, ss), got, expected))
     report(3, not mismatches,
@@ -139,8 +139,7 @@ def test_04_deficit_sign_oracle():
                 c = sim._control(tuple(sim.state), sc.plan.sample_flat(0.0))
                 u_cmd = c[15:19]
                 pattern = predict_sign_pattern(thruster, u_cmd[thruster - 1],
-                                               heading, sc.geometry,
-                                               sc.fdi.eps_u, sc.fdi.eps_g)
+                                               heading, sc.geometry, sc.fdi)
                 assert 0 not in pattern, "combo must meet dead-band conditions"
                 sim.bank.w_true[thruster - 1] = 0.8
                 sim._refresh_thrust()
@@ -166,7 +165,7 @@ def test_05_identification_correctness():
                 "faults": [{"time": 100.0, "thruster": thruster,
                             "weight": weight}],
             }, name=f"ident_{thruster}_{weight}")
-            s = run_scenario(sc).summary
+            s = Simulation(sc).run().summary
             ev = s["events"][0]
             pre_fault = [tt for tt, _ in s["identifications"] if tt < 100.0]
             results.append((thruster, weight, ev["identified"],
@@ -240,7 +239,7 @@ def test_09_allocation_round_trip(geom, rng):
         tau = rng.normal(0.0, 1.0, 3) * np.array([10.0, 10.0, 2.0])
         res = allocate(tau, bank, geom)
         assert not res.saturated
-        back = achieved_wrench(res.u_cmd, bank, geom).as_array()
+        back = achieved_wrench(res.u_cmd, bank, geom)
         worst = max(worst, np.abs(back - tau).max())
     report(9, worst < 1e-9,
            f"1000 random wrenches, healthy bank: max round-trip error "
@@ -250,7 +249,7 @@ def test_09_allocation_round_trip(geom, rng):
 def test_10_determinism_and_order(tmp_path):
     runs = []
     for k in range(2):
-        res = run_scenario(load_scenario("fault_thruster2"))
+        res = Simulation(load_scenario("fault_thruster2")).run()
         path = tmp_path / f"det{k}.csv"
         res.write_csv(path)
         runs.append((res.rows, path.read_bytes()))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rovftc.allocation import Wrench, achieved_wrench, allocate, pseudo_inverse
+from rovftc.allocation import achieved_wrench, allocate, pseudo_inverse
 from rovftc.vehicle import ThrusterBank, ThrusterGeometry, config_matrix
 
 # minimum-norm split of a unit surge demand over the X layout
@@ -45,7 +45,7 @@ class TestPseudoInverse:
 
 class TestAllocate:
     def test_exact_surge_commands(self, bank, geom):
-        res = allocate(Wrench(1.0, 0.0, 0.0), bank, geom)
+        res = allocate(np.array([1.0, 0.0, 0.0]), bank, geom)
         expected = SURGE_SHARE / 40.0 * np.array([1.0, 1.0, -1.0, -1.0])
         assert np.allclose(res.u_cmd, expected, atol=1e-12)
         assert res.u_cmd[0] == pytest.approx(0.008839, abs=1e-6)
@@ -55,11 +55,11 @@ class TestAllocate:
         for _ in range(50):
             tau = rng.normal(0, 5, 3)
             res = allocate(tau, bank, geom)
-            back = achieved_wrench(res.u_cmd, bank, geom).as_array()
+            back = achieved_wrench(res.u_cmd, bank, geom)
             assert np.abs(back - tau).max() < 1e-9
 
     def test_estimate_inflates_command(self, bank, geom):
-        tau = Wrench(1.0, 0.5, 0.1)
+        tau = np.array([1.0, 0.5, 0.1])
         base = allocate(tau, bank, geom)
         bank.w_hat = np.array([1.0, 0.5, 1.0, 1.0])
         halved = allocate(tau, bank, geom)
@@ -75,7 +75,7 @@ class TestAllocate:
         assert np.allclose(r12, r1 + 0.5 * r2, rtol=1e-12, atol=1e-12)
 
     def test_saturation_clamps(self, bank, geom):
-        res = allocate(Wrench(500.0, 0.0, 0.0), bank, geom)
+        res = allocate(np.array([500.0, 0.0, 0.0]), bank, geom)
         assert res.saturated
         assert np.abs(res.u_cmd).max() == bank.u_max
         assert np.abs(res.u_raw).max() > bank.u_max
@@ -83,7 +83,7 @@ class TestAllocate:
     def test_rejects_estimate_below_floor(self, bank, geom):
         bank.w_hat = np.array([1.0, 0.02, 1.0, 1.0])
         with pytest.raises(ValueError):
-            allocate(Wrench(1.0, 0.0, 0.0), bank, geom)
+            allocate(np.array([1.0, 0.0, 0.0]), bank, geom)
 
     def test_floored_thruster_excluded(self, bank, geom, rng):
         # an estimate at the floor marks the thruster failed: it gets no
@@ -94,13 +94,13 @@ class TestAllocate:
             tau = rng.normal(0, 2, 3)
             res = allocate(tau, bank, geom)
             assert res.u_cmd[1] == 0.0
-            back = achieved_wrench(res.u_cmd, bank, geom).as_array()
+            back = achieved_wrench(res.u_cmd, bank, geom)
             assert np.abs(back - tau).max() < 1e-9
 
 
 class TestAchievedWrench:
     def test_zero_command(self, bank, geom):
-        assert np.allclose(achieved_wrench(np.zeros(4), bank, geom).as_array(), 0.0)
+        assert np.allclose(achieved_wrench(np.zeros(4), bank, geom), 0.0)
 
     def test_deficit_direction_single_thruster(self, bank, geom):
         # first thruster at half output: the lost wrench is half its
@@ -108,14 +108,15 @@ class TestAchievedWrench:
         tau_c = np.array([1.0, 0.0, 0.0])
         res = allocate(tau_c, bank, geom)
         bank.w_true = np.array([0.5, 1.0, 1.0, 1.0])
-        tau = achieved_wrench(res.u_cmd, bank, geom).as_array()
+        tau = achieved_wrench(res.u_cmd, bank, geom)
         col = geom.t_conf[:, 0]
         expected = 0.5 * bank.K[0] * res.u_cmd[0] * col
         assert np.allclose(tau_c - tau, expected, rtol=1e-12, atol=1e-12)
 
     def test_deficit_direction_all_banks(self, geom, rng):
         # foundation of the sign-signature identification: a small weight
-        # reduction rho on thruster i removes rho*K_i*u_i*(column i)
+        # reduction rho on thruster i removes rho*K_i*u_i*(column i); a
+        # failed thruster (rho = 1) gives no force at all
         for i in range(4):
             for sign in (-1.0, 1.0):
                 bank = ThrusterBank(K=np.full(4, 40.0))
@@ -123,18 +124,13 @@ class TestAchievedWrench:
                 res = allocate(tau_c, bank, geom)
                 u = res.u_cmd.copy()
                 u[i] = sign * abs(u[i]) if u[i] != 0 else sign * 0.1
-                rho = 0.2
-                healthy = achieved_wrench(u, bank, geom).as_array()
-                bank.w_true[i] = 1.0 - rho
-                faulted = achieved_wrench(u, bank, geom).as_array()
-                expected = rho * bank.K[i] * u[i] * geom.t_conf[:, i]
-                assert np.allclose(healthy - faulted, expected,
-                                   rtol=1e-12, atol=1e-12)
-
-    def test_wrench_named_fields(self):
-        w = Wrench(1.0, 2.0, 3.0)
-        assert w.tau_u == 1.0 and w.tau_v == 2.0 and w.tau_r == 3.0
-        assert np.allclose(Wrench.from_array([1, 2, 3]).as_array(), [1, 2, 3])
+                healthy = achieved_wrench(u, bank, geom)
+                for rho in (0.2, 1.0):
+                    bank.w_true[i] = 1.0 - rho
+                    faulted = achieved_wrench(u, bank, geom)
+                    expected = rho * bank.K[i] * u[i] * geom.t_conf[:, i]
+                    assert np.allclose(healthy - faulted, expected,
+                                       rtol=1e-12, atol=1e-12)
 
 
 def test_geometry_must_be_nondegenerate():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rovftc.fdi import (FdiConfig, FdiEngine, detect, detection_threshold,
+from rovftc.fdi import (FdiConfig, FdiEngine, detection_threshold,
                         identify_fault, predict_sign_pattern,
                         reconfigure_step, residual)
 
@@ -67,49 +67,38 @@ class TestThreshold:
             == pytest.approx(0.31 + fdi_cfg.joint_widen)
 
 
-class TestDetect:
-    def test_above(self):
-        assert detect(0.32, 0.31)
-
-    def test_exactly_at_threshold_is_quiet(self):
-        assert not detect(0.31, 0.31)
-
-    def test_below(self):
-        assert not detect(0.0, 0.31)
-
-
 class TestSignPrediction:
-    def test_full_sign_table_first_thruster(self, geom):
+    def test_full_sign_table_first_thruster(self, geom, fdi_cfg):
         for (su, sc, ss), expected in FIRST_THRUSTER_SIGN_TABLE.items():
             psi = QUADRANT_HEADING[(sc, ss)]
-            got = predict_sign_pattern(1, su * 0.5, psi, geom)
+            got = predict_sign_pattern(1, su * 0.5, psi, geom, fdi_cfg)
             assert got == expected, (su, sc, ss)
 
-    def test_worked_quadrant_cases(self, geom):
+    def test_worked_quadrant_cases(self, geom, fdi_cfg):
         # forward command, heading two quadrants past the thruster axis
         psi = QUADRANT_HEADING[(-1, +1)]
-        assert predict_sign_pattern(1, 0.5, psi, geom) == (-1, +1, -1)
+        assert predict_sign_pattern(1, 0.5, psi, geom, fdi_cfg) == (-1, +1, -1)
         # reverse command, heading one quadrant past
         psi = QUADRANT_HEADING[(+1, +1)]
-        assert predict_sign_pattern(1, -0.5, psi, geom) == (-1, -1, +1)
+        assert predict_sign_pattern(1, -0.5, psi, geom, fdi_cfg) == (-1, -1, +1)
 
-    def test_dead_band_command(self, geom):
-        assert predict_sign_pattern(1, 0.0, 0.3, geom) == (0, 0, 0)
-        assert predict_sign_pattern(2, 1e-4, 0.3, geom, eps_u=0.01) == (0, 0, 0)
+    def test_dead_band_command(self, geom, fdi_cfg):
+        assert predict_sign_pattern(1, 0.0, 0.3, geom, fdi_cfg) == (0, 0, 0)
+        assert predict_sign_pattern(2, 1e-4, 0.3, geom, fdi_cfg) == (0, 0, 0)
 
-    def test_geometric_dead_band(self, geom):
+    def test_geometric_dead_band(self, geom, fdi_cfg):
         # heading aligned with the thruster axis: no x-observability
         psi = ALPHA + math.pi / 2
-        sx, sy, sp = predict_sign_pattern(1, 0.5, psi, geom, eps_g=0.1)
+        sx, sy, sp = predict_sign_pattern(1, 0.5, psi, geom, fdi_cfg)
         assert sx == 0 and sy != 0 and sp != 0
 
-    def test_patterns_distinct_across_bank(self, geom, rng):
+    def test_patterns_distinct_across_bank(self, geom, fdi_cfg, rng):
         # for any heading and command signs, no two thrusters share a
         # fully-determinate signature
         for _ in range(200):
             psi = rng.uniform(-math.pi, math.pi)
             u = rng.choice([-0.5, 0.5], 4)
-            pats = [predict_sign_pattern(i, u[i - 1], psi, geom)
+            pats = [predict_sign_pattern(i, u[i - 1], psi, geom, fdi_cfg)
                     for i in range(1, 5)]
             full = [p for p in pats if 0 not in p]
             assert len(full) == len(set(full))
@@ -215,6 +204,20 @@ class TestEngine:
         drive(engine, [self.faulted(0.01 * (fdi_cfg.n_consec + 1))])
         assert engine.state.fault_num == 1
         assert engine.state.identified_log[0][1] == 1
+
+    def test_residual_at_threshold_stays_quiet(self, fdi_cfg, geom):
+        # detection is a strict comparison: a residual that equals the
+        # threshold exactly never counts as above it
+        engine = FdiEngine(fdi_cfg, geom)
+        drive(engine, [self.quiet(0.0)])
+        at = np.array([detection_threshold(fdi_cfg, SMOOTH), 0.0, 0.0])
+        for k in range(3 * fdi_cfg.n_consec):
+            drive(engine, [(0.01 * (k + 1), at, self.FAULT_EDOT,
+                            self.CRUISE_U, self.PSI, SMOOTH)])
+            assert engine.state.residual == engine.state.threshold
+        assert engine.state.armed
+        assert engine.state.consec_above == 0
+        assert not engine.state.b_trig and engine.state.trigger_log == []
 
     def test_single_spike_rejected(self, fdi_cfg, geom):
         engine = FdiEngine(fdi_cfg, geom)

@@ -5,7 +5,7 @@ import pytest
 
 from rovftc.cli import main
 from rovftc.scenario import load_scenario
-from rovftc.simulation import run_scenario
+from rovftc.simulation import Simulation
 
 TABLE_CASES = [f"table1_case{i}" for i in range(1, 9)]
 SINGLE_FAULTS = [f"fault_thruster{i}" for i in range(1, 5)]
@@ -34,7 +34,7 @@ def test_single_fault_presets_identify_each_thruster(tmp_path, capsys):
 
 @pytest.mark.slow
 def test_estimates_monotone_and_only_identified_move():
-    res = run_scenario(load_scenario("fault_thruster3"))
+    res = Simulation(load_scenario("fault_thruster3")).run()
     w_hat = np.stack([res.column(f"Wh{i}") for i in range(1, 5)], axis=1)
     assert np.all(np.diff(w_hat, axis=0) <= 1e-12), "estimates must not rise"
     moved = np.abs(w_hat[-1] - w_hat[0]) > 1e-12
@@ -44,6 +44,6 @@ def test_estimates_monotone_and_only_identified_move():
 @pytest.mark.slow
 def test_stress_preset_contrast_with_default_period(tmp_path):
     # the same schedule converges when the update period is long enough
-    healthy = run_scenario(load_scenario("fig10_ts_stress",
-                                         overrides=["fdi.t_s=8.0"]))
+    healthy = Simulation(load_scenario("fig10_ts_stress",
+                                       overrides=["fdi.t_s=8.0"])).run()
     assert healthy.summary["reconfiguration_failures"] == []

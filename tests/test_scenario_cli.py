@@ -208,7 +208,7 @@ class TestCli:
     @pytest.mark.parametrize("override", [
         "sim.dt=.nan", "sim.duration=.nan", "fdi.c1=.nan", "fdi.c2=.nan",
         "sim.dt=.inf", "vehicle.u_max=true", "fdi.c1=yes",
-        "gains.a1=[1,true,1]",
+        "gains.a1=[1,true,1]", "sim.duration=0.004", "sim.duration=0.016",
     ])
     def test_non_finite_value_rejected(self, tmp_path, capsys, override):
         path = self.short_scenario(tmp_path)
@@ -216,6 +216,18 @@ class TestCli:
                      "--override", override]) == 2
         assert main(["validate", str(path), "--override", override]) == 2
         assert not (tmp_path / "out" / "short.csv").exists()
+
+    def test_malformed_override_rejected(self, tmp_path, capsys):
+        path = self.short_scenario(tmp_path)
+        out = tmp_path / "out"
+        for argv in (["validate", str(path)],
+                     ["run", str(path), "--out", str(out)],
+                     ["batch", str(path), "--out", str(out)]):
+            assert main(argv + ["--override", "sim.dt=[1,"]) == 2
+            err = capsys.readouterr().err
+            assert "'sim.dt'" in err and "not valid YAML" in err
+            assert "Traceback" not in err
+        assert not (out / "short.csv").exists()
 
     @pytest.mark.parametrize("override", [
         "vehicle.u_max=.nan", "vehicle.alpha=.nan", "vehicle.l=.inf",

@@ -8,8 +8,8 @@ import pytest
 from rovftc.allocation import achieved_wrench, allocate
 from rovftc.controller import control_law, error_rate, tracking_errors
 from rovftc.scenario import scenario_from_dict
-from rovftc.simulation import COLUMNS, FaultSchedule, Simulation, run_scenario
-from rovftc.vehicle import VehicleState, eval_fv, rotation_matrix
+from rovftc.simulation import COLUMNS, FaultSchedule, Simulation
+from rovftc.vehicle import VehicleState, dynamics_rhs, kinematics_rhs
 
 HALF_PI = math.pi / 2
 
@@ -126,25 +126,23 @@ class TestStep:
             sim._refresh_allocation()
             sim._refresh_thrust()
 
-            state = VehicleState.from_array(np.array(s))
+            state = VehicleState(*s)
             ref = sc.plan.sample(t)
             errors = tracking_errors(state, ref, sc.gains)
             tau_c = control_law(state, ref, errors, sc.gains, sc.params)
             alloc = allocate(tau_c, sim.bank, sc.geometry)
             tau = achieved_wrench(alloc.u_cmd, sim.bank, sc.geometry)
-            expected = np.concatenate([
-                rotation_matrix(state.psi) @ state.nu,
-                eval_fv(state.nu, sc.params) + sc.params.B @ tau.as_array(),
-            ])
+            expected = np.concatenate([kinematics_rhs(state),
+                                       dynamics_rhs(state, tau, sc.params)])
 
             c = sim._control(s, sc.plan.sample_flat(t))
-            scale = max(1.0, np.abs(tau_c.as_array()).max())
+            scale = max(1.0, np.abs(tau_c).max())
             assert np.abs(np.array(c[6:9]) - errors.e_eta).max() < 1e-9
             assert np.abs(np.array(c[9:12]) - error_rate(state, ref)).max() < 1e-9
             assert np.abs(np.array(c[12:15]) - errors.e_nu).max() < 1e-9
             assert np.abs(np.array(c[15:19]) - alloc.u_cmd).max() < 1e-9
-            assert np.abs(np.array(c[19:22]) - tau_c.as_array()).max() < 1e-9 * scale
-            assert np.abs(np.array(c[22:25]) - tau.as_array()).max() < 1e-9 * scale
+            assert np.abs(np.array(c[19:22]) - tau_c).max() < 1e-9 * scale
+            assert np.abs(np.array(c[22:25]) - tau).max() < 1e-9 * scale
             assert c[25] == alloc.saturated
             assert np.abs(np.array(c[:6]) - expected).max() < 1e-9 * scale
             # the RK4 stage path returns the same derivative, bit for bit
@@ -172,11 +170,11 @@ class TestStep:
         assert sim.bank.w_true[0] == 0.3
         assert sim.bank.w_hat[0] < 1.0 - sim.engine.cfg.delta_w
 
-        res = run_scenario(make_scenario(**cfg))
+        res = Simulation(make_scenario(**cfg)).run()
         assert np.array_equal(np.array(rows), res.rows[:-1])
 
     def test_crossing_run_csv_bytes_pinned(self, tmp_path):
-        res = run_scenario(make_scenario(name="crossing", **crossing_cfg()))
+        res = Simulation(make_scenario(name="crossing", **crossing_cfg())).run()
         s = res.summary
         t = res.column("t")
         wh1 = res.column("Wh1")
@@ -218,7 +216,7 @@ class TestStep:
             sim={"duration": 5.0,
                  "initial_state": [2.0e6, 0.0, 0.0, 0.0, 0.0, 0.0]},
         )
-        res = run_scenario(sc)
+        res = Simulation(sc).run()
         assert res.diverged
         assert res.diverged_time is not None
         assert res.summary["diverged"]
@@ -235,7 +233,7 @@ class TestStep:
 class TestRun:
     def test_row_layout(self):
         sc = make_scenario(sim={"duration": 2.0, "decimation": 10})
-        res = run_scenario(sc)
+        res = Simulation(sc).run()
         assert res.columns == COLUMNS
         assert res.rows.shape == (21, len(COLUMNS))
         assert np.allclose(res.column("t"), np.arange(21) * 0.1)
@@ -244,8 +242,8 @@ class TestRun:
         cfg = dict(sim={"duration": 30.0},
                    faults=[{"time": 20.0, "thruster": 2, "weight": 0.5}])
         cfg["sim"]["settle_time"] = 10.0
-        r1 = run_scenario(make_scenario(**cfg))
-        r2 = run_scenario(make_scenario(**cfg))
+        r1 = Simulation(make_scenario(**cfg)).run()
+        r2 = Simulation(make_scenario(**cfg)).run()
         assert r1.rows.shape == r2.rows.shape
         assert np.array_equal(r1.rows, r2.rows)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -256,7 +254,7 @@ class TestRun:
     def test_fault_event_recorded_on_weight_column(self):
         sc = make_scenario(sim={"duration": 70.0, "decimation": 1},
                            faults=[{"time": 60.0, "thruster": 3, "weight": 0.4}])
-        res = run_scenario(sc)
+        res = Simulation(sc).run()
         t = res.column("t")
         w3 = res.column("W3")
         assert w3[np.searchsorted(t, 59.99)] == 1.0
@@ -265,7 +263,7 @@ class TestRun:
     def test_event_quantized_to_step(self):
         sc = make_scenario(sim={"duration": 70.0, "decimation": 1},
                            faults=[{"time": 60.004, "thruster": 3, "weight": 0.4}])
-        res = run_scenario(sc)
+        res = Simulation(sc).run()
         t = res.column("t")
         w3 = res.column("W3")
         assert w3[np.searchsorted(t, 60.00)] == 1.0
@@ -273,7 +271,7 @@ class TestRun:
 
     def test_summary_shape(self):
         sc = make_scenario(sim={"duration": 2.0})
-        summary = run_scenario(sc).summary
+        summary = Simulation(sc).run().summary
         for key in ("scenario", "t_c", "max_residual", "trigger_count",
                     "identifications", "events", "final_w_hat",
                     "reconfiguration_failures", "runtime_s"):
@@ -283,7 +281,7 @@ class TestRun:
         sc = make_scenario(
             sim={"duration": 5.0,
                  "initial_state": [2.0e6, 0.0, 0.0, 0.0, 0.0, 0.0]})
-        res = run_scenario(sc)
+        res = Simulation(sc).run()
         path = tmp_path / "diverged.csv"
         res.write_csv(path)
         assert path.read_text().rstrip().endswith(
@@ -299,8 +297,8 @@ class TestRun:
         assert peak < 2 * res.rows.nbytes
 
     def test_write_csv_streams_the_record(self, tmp_path):
-        res = run_scenario(make_scenario(sim={"duration": 30.0,
-                                              "decimation": 1}))
+        res = Simulation(make_scenario(sim={"duration": 30.0,
+                                            "decimation": 1})).run()
         _, peak = traced_peak(res.write_csv, tmp_path / "record.csv")
         assert peak < 0.25 * res.rows.nbytes
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rovftc.trajectory import Segment, TrajectoryPlan, reference_trajectory
+from rovftc.trajectory import Segment, TrajectoryPlan
 
 HALF_PI = math.pi / 2
 
@@ -106,9 +106,9 @@ class TestSegments:
 
     def test_negative_time_rejected(self, demo_plan):
         with pytest.raises(ValueError):
-            reference_trajectory(-1.0, demo_plan)
+            demo_plan.sample(-1.0)
 
     def test_empty_plan_holds_initial_pose(self):
         plan = TrajectoryPlan([1.0, -1.0, 0.5], [])
-        ref = reference_trajectory(100.0, plan)
+        ref = plan.sample(100.0)
         assert np.allclose(ref.eta_d, [1.0, -1.0, 0.5])

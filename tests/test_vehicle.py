@@ -6,7 +6,7 @@ import pytest
 from rovftc.vehicle import (ThrusterBank, VehicleParams, VehicleState,
                             config_matrix, coriolis_vector, dynamics_rhs,
                             eval_fv, kinematics_rhs, rotation_matrix,
-                            thrust_forces, wrap_angle)
+                            wrap_angle)
 
 
 def test_wrap_angle_range():
@@ -156,27 +156,6 @@ class TestConfigMatrix:
             config_matrix(math.pi / 4, 0.0)
 
 
-class TestThrustForces:
-    def test_single_thruster(self):
-        bank = ThrusterBank(K=np.full(4, 40.0))
-        assert np.allclose(thrust_forces([0.5, 0, 0, 0], bank), [20, 0, 0, 0])
-
-    def test_failed_thruster_produces_nothing(self):
-        bank = ThrusterBank(K=np.full(4, 40.0), w_true=[0.0, 1, 1, 1])
-        f = thrust_forces([0.8, 0.2, 0.2, 0.2], bank)
-        assert f[0] == 0.0
-        assert np.all(f[1:] > 0)
-
-    def test_zero_input(self, bank):
-        assert np.allclose(thrust_forces(np.zeros(4), bank), 0.0)
-
-    def test_homogeneous_in_command(self, bank, rng):
-        u = rng.uniform(-1, 1, 4)
-        bank.w_true = rng.uniform(0, 1, 4)
-        assert np.allclose(thrust_forces(3.0 * u, bank),
-                           3.0 * thrust_forces(u, bank), rtol=1e-14)
-
-
 class TestDynamics:
     def test_equilibrium(self, params):
         assert np.allclose(dynamics_rhs(VehicleState(), np.zeros(3), params), 0.0)
@@ -228,7 +207,7 @@ class TestStateInvariants:
     def test_round_trip_array(self, rng):
         arr = rng.normal(0, 1, 6)
         arr[2] = 0.4
-        assert np.allclose(VehicleState.from_array(arr).as_array(), arr)
+        assert np.allclose(VehicleState(*arr).as_array(), arr)
 
 
 class TestParamValidation:
