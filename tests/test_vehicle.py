@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rovftc.allocation import achieved_wrench
 from rovftc.vehicle import (ThrusterBank, VehicleParams, VehicleState,
                             config_matrix, coriolis_vector, dynamics_rhs,
                             eval_fv, kinematics_rhs, rotation_matrix,
@@ -154,6 +155,17 @@ class TestConfigMatrix:
     def test_rejects_nonpositive_arm(self):
         with pytest.raises(ValueError):
             config_matrix(math.pi / 4, 0.0)
+
+
+class TestThrustForces:
+    def test_failed_thruster_produces_nothing(self, geom):
+        bank = ThrusterBank(K=np.full(4, 40.0), w_true=[0.0, 1, 1, 1])
+        # a command on the failed thruster alone delivers no wrench
+        assert np.all(achieved_wrench([0.8, 0, 0, 0], bank, geom) == 0.0)
+        # and adds nothing to what the healthy ones deliver
+        assert np.array_equal(achieved_wrench([0.8, 0.2, 0.2, 0.2], bank, geom),
+                              achieved_wrench([0.0, 0.2, 0.2, 0.2], bank, geom))
+        assert np.any(achieved_wrench([0.0, 0.2, 0.2, 0.2], bank, geom) != 0.0)
 
 
 class TestDynamics:
