@@ -62,6 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_one(scenario: Scenario, out_dir: Path, overrides, decimation):
+    out_dir.mkdir(parents=True, exist_ok=True)
     if decimation is not None:
         scenario.decimation = decimation
     result = Simulation(scenario).run()
@@ -84,15 +85,9 @@ def _run_member(out_dir: Path, overrides, decimation, scenario: Scenario):
 
 
 def _cmd_run(args) -> int:
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return EXIT_IO
     try:
         result, csv_path, summary_path = _run_one(
-            load_scenario(args.scenario, args.override), out_dir,
+            load_scenario(args.scenario, args.override), Path(args.out),
             args.override, args.decimation)
     except ScenarioError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
@@ -110,12 +105,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return EXIT_IO
     scenarios = []
     owners = {}
     for ref in args.scenarios:
@@ -146,8 +135,9 @@ def _cmd_batch(args) -> int:
     workers = max(1, min(len(scenarios), cpus))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(
             "fork" if fork else None)) as pool:
-        outcomes = list(pool.map(partial(_run_member, out_dir, args.override,
-                                         args.decimation), scenarios))
+        outcomes = list(pool.map(partial(_run_member, Path(args.out),
+                                         args.override, args.decimation),
+                                 scenarios))
     for ref, outcome in zip(args.scenarios, outcomes):
         if isinstance(outcome, OSError):
             rows.append(f"{ref:24s} i/o failure: {outcome}")

@@ -65,7 +65,6 @@ class FdiConfig:
 class FdiState:
     armed: bool = False          # detection enabled once tracking has settled
     b_trig: bool = False
-    b_first_check: bool = False
     fault_num: int | None = None  # identified thruster, 1-based
     w_time: float = 0.0          # time since identification / last update
     residual: float = 0.0
@@ -188,7 +187,6 @@ class FdiEngine:
             st.consec_above = st.consec_above + 1 if above else 0
             if st.consec_above >= cfg.n_consec:
                 st.b_trig = True
-                st.b_first_check = True
                 st.w_time = 0.0
                 st.trigger_log.append((t, True))
             return None
@@ -197,24 +195,20 @@ class FdiEngine:
         if not above:
             # falling edge: re-arm for the next sequential fault
             st.b_trig = False
-            st.b_first_check = False
             st.fault_num = None
             st.w_time = 0.0
             st.consec_above = 0
             st.trigger_log.append((t, False))
             return None
 
-        if st.b_first_check:
-            found = identify_fault(e_eta_dot, u_cmd, psi, cfg, self.geom)
-            if found is not None:
-                st.fault_num = found
-                st.b_first_check = False
-                st.identified_log.append((t, found))
-            # unresolved: retry on the next sample, no weight update yet
+        if st.fault_num is None:
+            st.fault_num = identify_fault(e_eta_dot, u_cmd, psi, cfg, self.geom)
+            if st.fault_num is None:
+                return None  # unresolved: retry on the next sample
+            st.identified_log.append((t, st.fault_num))
 
-        if st.fault_num is not None:
-            st.w_time += dt
-            if st.w_time >= cfg.t_s - 1e-12:
-                st.w_time = 0.0
-                return st.fault_num
+        st.w_time += dt
+        if st.w_time >= cfg.t_s - 1e-12:
+            st.w_time = 0.0
+            return st.fault_num
         return None

@@ -135,20 +135,27 @@ def _array(raw, path: str) -> np.ndarray:
     return arr
 
 
-def _matrix3(raw, path: str) -> np.ndarray:
-    arr = _array(raw, path)
-    if arr.shape == (3,):
-        return np.diag(arr)
-    if arr.shape == (3, 3):
-        return arr
-    raise ScenarioError(f"{path}: expected 3 diagonal entries or a 3x3 matrix")
+def _section(raw, path: str, schema: dict) -> dict:
+    """Every key of the section `raw`, read by the type of its value in
+    `schema` (the section of defaults.yaml): an int as a whole number, a
+    list as a finite array, anything else as a finite float. Shapes are
+    left to the model classes, which own them."""
+    out = {}
+    for key, val in _mapping(raw, path, schema).items():
+        default = schema[key]
+        read = (_count if isinstance(default, int) else
+                _array if isinstance(default, list) else _number)
+        out[key] = read(val, f"{path}.{key}")
+    return out
 
 
-def _vector(raw, n: int, path: str) -> np.ndarray:
-    arr = _array(raw, path)
-    if arr.shape != (n,):
-        raise ScenarioError(f"{path}: expected {n} entries")
-    return arr
+def _built(where: str, make, *args, **kwargs):
+    """`make(*args, **kwargs)`, with a model invariant's ValueError
+    reported as a ScenarioError under `where`."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 def apply_overrides(config: dict, overrides: list[str]) -> dict:
@@ -182,49 +189,17 @@ def scenario_from_dict(config: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError(f"unknown sections {unknown}; allowed: "
                             f"{', '.join(defaults)}")
     cfg = _merge(defaults, config)
-    veh, g, fdi_cfg, sim, traj = (
-        _mapping(cfg[key], key, defaults[key])
-        for key in ("vehicle", "gains", "fdi", "sim", "trajectory"))
+    veh, g, fdi_cfg, sim = (_section(cfg[key], key, defaults[key])
+                            for key in ("vehicle", "gains", "fdi", "sim"))
+    traj = _mapping(cfg["trajectory"], "trajectory", defaults["trajectory"])
 
-    try:
-        params = VehicleParams(
-            inertia=_matrix3(veh["inertia"], "vehicle.inertia"),
-            lin_damping=_matrix3(veh["lin_damping"], "vehicle.lin_damping"),
-            quad_damping=_vector(veh["quad_damping"], 3, "vehicle.quad_damping"),
-            B=_matrix3(veh["B"], "vehicle.B"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"vehicle: {exc}") from exc
-
-    try:
-        fdi = FdiConfig(**{
-            key: (_count if key == "n_consec" else _number)(val, f"fdi.{key}")
-            for key, val in fdi_cfg.items()})
-    except ValueError as exc:
-        raise ScenarioError(f"fdi: {exc}") from exc
-
-    try:
-        geom = ThrusterGeometry(alpha=_number(veh["alpha"], "vehicle.alpha"),
-                                l=_number(veh["l"], "vehicle.l"))
-    except ValueError as exc:
-        raise ScenarioError(f"vehicle geometry: {exc}") from exc
-
-    try:
-        bank = ThrusterBank(K=_vector(veh["K"], 4, "vehicle.K"),
-                            u_max=_number(veh["u_max"], "vehicle.u_max"),
-                            w_min=fdi.w_min)
-    except ValueError as exc:
-        raise ScenarioError(f"vehicle thrusters: {exc}") from exc
-
-    try:
-        gains = ControllerGains(
-            gamma1=_vector(g["gamma1"], 3, "gains.gamma1"),
-            gamma2=_vector(g["gamma2"], 3, "gains.gamma2"),
-            a1=_vector(g["a1"], 3, "gains.a1"),
-            a2=_vector(g["a2"], 3, "gains.a2"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"gains: {exc}") from exc
+    fdi = _built("fdi", FdiConfig, **fdi_cfg)
+    params = _built("vehicle", VehicleParams, veh["inertia"],
+                    veh["lin_damping"], veh["quad_damping"], veh["B"])
+    geom = _built("vehicle geometry", ThrusterGeometry, veh["alpha"], veh["l"])
+    bank = _built("vehicle thrusters", ThrusterBank, veh["K"],
+                  u_max=veh["u_max"], w_min=fdi.w_min)
+    gains = _built("gains", ControllerGains, **g)
 
     segments = []
     for i, seg in enumerate(_list(traj["segments"], "trajectory.segments")):
@@ -234,47 +209,23 @@ def scenario_from_dict(config: dict, name: str = "scenario") -> Scenario:
         if fields is None:
             raise ScenarioError(f"{path}: unknown mode {mode!r}")
         _mapping(seg, path, ("mode", *fields))
-        try:
-            segments.append(Segment(mode, **{
-                key: _number(seg[key], f"{path}.{key}") for key in fields}))
-        except KeyError as exc:
-            raise ScenarioError(f"{path}: missing field {exc}") from exc
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: {exc}") from exc
-    try:
-        plan = TrajectoryPlan(_vector(traj["initial_pose"], 3,
-                                      "trajectory.initial_pose"), segments)
-    except ValueError as exc:
-        raise ScenarioError(f"trajectory: {exc}") from exc
+        segments.append(_built(path, Segment, mode, **{
+            key: _number(seg.get(key), f"{path}.{key}") for key in fields}))
+    plan = _built("trajectory", TrajectoryPlan,
+                  _array(traj["initial_pose"], "trajectory.initial_pose"),
+                  segments)
 
     events = [_mapping(ev, f"faults[{i}]", ("time", "thruster", "weight"))
               for i, ev in enumerate(_list(cfg.get("faults"), "faults"))]
-    try:
-        schedule = FaultSchedule(
-            events=[(_number(ev["time"], f"faults[{i}].time"),
-                     _count(ev["thruster"], f"faults[{i}].thruster"),
-                     _number(ev["weight"], f"faults[{i}].weight"))
-                    for i, ev in enumerate(events)],
-            settle_time=_number(sim["settle_time"], "sim.settle_time"),
-        )
-    except KeyError as exc:
-        raise ScenarioError(f"faults: each event needs time/thruster/weight "
-                            f"({exc})") from exc
-    except ValueError as exc:
-        raise ScenarioError(f"faults: {exc}") from exc
+    schedule = _built("faults", FaultSchedule, [
+        (_number(ev.get("time"), f"faults[{i}].time"),
+         _count(ev.get("thruster"), f"faults[{i}].thruster"),
+         _number(ev.get("weight"), f"faults[{i}].weight"))
+        for i, ev in enumerate(events)], settle_time=sim.pop("settle_time"))
 
-    try:
-        return Scenario(
-            name=name,
-            params=params, geometry=geom, bank=bank, gains=gains, fdi=fdi,
-            plan=plan, schedule=schedule,
-            dt=_number(sim["dt"], "sim.dt"),
-            duration=_number(sim["duration"], "sim.duration"),
-            decimation=_count(sim["decimation"], "sim.decimation"),
-            initial_state=_vector(sim["initial_state"], 6, "sim.initial_state"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"sim: {exc}") from exc
+    return _built("sim", Scenario, name=name, params=params, geometry=geom,
+                  bank=bank, gains=gains, fdi=fdi, plan=plan,
+                  schedule=schedule, **sim)
 
 
 def load_scenario(ref: str, overrides: list[str] | None = None) -> Scenario:

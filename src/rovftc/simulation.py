@@ -132,13 +132,16 @@ class Scenario:
             # decrement the weight estimate every step
             raise ValueError(f"fdi.t_s = {self.fdi.t_s} s is shorter than "
                              f"one step (dt = {self.dt} s)")
+        if self.n_steps < 1:
+            raise ValueError(f"duration {self.duration} s is shorter than one "
+                             f"step (dt = {self.dt} s)")
         events = self.schedule.events
         last = (self.n_steps - 1) * self.dt  # start of the last step
         if events and events[-1].time > last + TIME_TOL:
             raise ValueError(f"fault event at t={events[-1].time}: after the "
                              f"last step starts ({last:.6g} s, end of the run "
                              f"{self.duration} s), so it never acts on the plant")
-        if self.n_steps < 1 or abs(self.duration - self.n_steps * self.dt) > TIME_TOL:
+        if abs(self.duration - self.n_steps * self.dt) > TIME_TOL:
             raise ValueError(f"duration {self.duration} s is not a whole number "
                              f"of steps of dt = {self.dt} s")
         if self.initial_state is None:

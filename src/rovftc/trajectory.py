@@ -43,20 +43,25 @@ class Segment:
             raise ValueError("turn segment needs a nonzero yaw rate")
 
 
-def _segment_end_pose(seg: Segment, pose):
-    x, y, psi = pose
-    t = seg.duration
+def _segment_sample(seg: Segment, pose, s: float):
+    """(xd, yd, psid, vxd, vyd, rd, axd, ayd) at time s into `seg`, which
+    starts at `pose`."""
+    x0, y0, psi0 = pose
     if seg.mode == "hold":
-        return (x, y, psi)
+        return (x0, y0, psi0, 0.0, 0.0, 0.0, 0.0, 0.0)
     if seg.mode == "straight":
-        return (x + seg.speed * t * math.cos(seg.heading),
-                y + seg.speed * t * math.sin(seg.heading),
-                seg.heading)
+        ch, sh = math.cos(seg.heading), math.sin(seg.heading)
+        return (x0 + seg.speed * s * ch, y0 + seg.speed * s * sh,
+                seg.heading, seg.speed * ch, seg.speed * sh, 0.0,
+                0.0, 0.0)
     rad = seg.speed / seg.yaw_rate
-    p1 = psi + seg.yaw_rate * t
-    return (x + rad * (math.sin(p1) - math.sin(psi)),
-            y - rad * (math.cos(p1) - math.cos(psi)),
-            p1)
+    psid = psi0 + seg.yaw_rate * s
+    cp, sp = math.cos(psid), math.sin(psid)
+    return (x0 + rad * (sp - math.sin(psi0)),
+            y0 - rad * (cp - math.cos(psi0)),
+            psid,
+            seg.speed * cp, seg.speed * sp, seg.yaw_rate,
+            -seg.speed * seg.yaw_rate * sp, seg.speed * seg.yaw_rate * cp)
 
 
 class TrajectoryPlan:
@@ -68,15 +73,15 @@ class TrajectoryPlan:
     """
 
     def __init__(self, initial_pose, segments):
-        self.initial_pose = tuple(float(v) for v in initial_pose)
-        if len(self.initial_pose) != 3:
+        if np.shape(initial_pose) != (3,):
             raise ValueError("initial pose must be [x, y, psi]")
+        self.initial_pose = tuple(float(v) for v in initial_pose)
         self.segments = list(segments)
         starts = [0.0]
         poses = [self.initial_pose]
         for seg in self.segments:
             starts.append(starts[-1] + seg.duration)
-            poses.append(_segment_end_pose(seg, poses[-1]))
+            poses.append(_segment_sample(seg, poses[-1], seg.duration)[:3])
         self._starts = starts          # segment start times, last = plan end
         self._entry_poses = poses      # pose at each segment start
         self.end_time = starts[-1]
@@ -97,24 +102,8 @@ class TrajectoryPlan:
         for k in range(len(self.segments)):
             if t < self._starts[k + 1]:
                 break
-        seg = self.segments[k]
-        x0, y0, psi0 = self._entry_poses[k]
-        s = t - self._starts[k]
-        if seg.mode == "hold":
-            return (x0, y0, psi0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        if seg.mode == "straight":
-            ch, sh = math.cos(seg.heading), math.sin(seg.heading)
-            return (x0 + seg.speed * s * ch, y0 + seg.speed * s * sh,
-                    seg.heading, seg.speed * ch, seg.speed * sh, 0.0,
-                    0.0, 0.0)
-        rad = seg.speed / seg.yaw_rate
-        psid = psi0 + seg.yaw_rate * s
-        cp, sp = math.cos(psid), math.sin(psid)
-        return (x0 + rad * (sp - math.sin(psi0)),
-                y0 - rad * (cp - math.cos(psi0)),
-                psid,
-                seg.speed * cp, seg.speed * sp, seg.yaw_rate,
-                -seg.speed * seg.yaw_rate * sp, seg.speed * seg.yaw_rate * cp)
+        return _segment_sample(self.segments[k], self._entry_poses[k],
+                               t - self._starts[k])
 
     def is_joint(self, t: float) -> bool:
         return any(abs(t - j) <= TIME_TOL for j in self.joint_times)

@@ -65,8 +65,9 @@ class VehicleParams:
     """Inertia (rigid body + added mass), damping, and the control-gain
     matrix mapping wrench to acceleration.
 
-    inertia must be symmetric positive definite and B strictly positive
-    definite; violations raise at construction time.
+    The three matrices may be given as their 3 diagonal entries. inertia
+    must be symmetric positive definite and B strictly positive definite;
+    violations raise at construction time.
     """
 
     inertia: np.ndarray       # 3x3, kg / kg m^2
@@ -77,16 +78,15 @@ class VehicleParams:
     B_inv: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.inertia = np.asarray(self.inertia, dtype=float)
-        self.lin_damping = np.asarray(self.lin_damping, dtype=float)
+        for name in ("inertia", "lin_damping", "B"):
+            m = np.asarray(getattr(self, name), dtype=float)
+            m = np.diag(m) if m.shape == (3,) else m
+            if m.shape != (3, 3):
+                raise ValueError(f"{name} must be 3x3 or its 3 diagonal entries")
+            setattr(self, name, m)
         self.quad_damping = np.asarray(self.quad_damping, dtype=float)
-        self.B = np.asarray(self.B, dtype=float)
-        if self.inertia.shape != (3, 3) or self.lin_damping.shape != (3, 3):
-            raise ValueError("inertia and lin_damping must be 3x3")
         if self.quad_damping.shape != (3,):
             raise ValueError("quad_damping must have 3 entries")
-        if self.B.shape != (3, 3):
-            raise ValueError("B must be 3x3")
         if not np.allclose(self.inertia, self.inertia.T, atol=1e-12):
             raise ValueError("inertia must be symmetric")
         if np.any(np.linalg.eigvalsh(self.inertia) <= 0.0):

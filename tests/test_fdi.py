@@ -234,12 +234,11 @@ class TestEngine:
             drive(engine, [self.faulted(t, e_dot=np.zeros(3))])
             t += 0.01
         assert engine.state.b_trig
-        # ambiguous rates: stays in the first-check phase, no weight update
+        # ambiguous rates: nothing identified, no weight update
         for _ in range(int(fdi_cfg.t_s / 0.01) + 10):
             updates = drive(engine, [self.faulted(t, e_dot=np.zeros(3))])
             assert updates == []
             t += 0.01
-        assert engine.state.b_first_check
         assert engine.state.fault_num is None
         # rates become readable: identified on the next sample
         drive(engine, [self.faulted(t)])
@@ -268,7 +267,7 @@ class TestEngine:
         assert engine.state.b_trig
         drive(engine, [self.quiet(t)])
         st = engine.state
-        assert not st.b_trig and not st.b_first_check
+        assert not st.b_trig
         assert st.fault_num is None and st.w_time == 0.0
         # a second fault triggers a fresh episode
         t += 0.01

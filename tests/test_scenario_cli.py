@@ -20,6 +20,13 @@ ALL_PRESETS = [
 ] + [f"table1_case{i}" for i in range(1, 9)]
 
 
+# every leaf that `scenario_from_dict` reads by the type of its default
+_DEFAULTS = yaml.safe_load(preset_path("defaults").read_text())
+SCHEMA_LEAVES = [f"{section}.{key}"
+                 for section in ("vehicle", "gains", "fdi", "sim")
+                 for key in _DEFAULTS[section]] + ["trajectory.initial_pose"]
+
+
 def write_scenario(tmp_path, name="custom", **sections):
     path = tmp_path / f"{name}.yaml"
     path.write_text(yaml.safe_dump(sections))
@@ -93,6 +100,10 @@ class TestValidation:
          "trajectory.segments[0]: expected a mapping"),
         ({"faults": 5}, "faults: expected a list"),
         ({"faults": [5]}, "faults[0]: expected a mapping"),
+        ({"trajectory": {"segments": [{"mode": "hold"}]}},
+         "trajectory.segments[0].duration: expected a number"),
+        ({"faults": [{"time": 60.0, "thruster": 1}]},
+         "faults[0].weight: expected a number"),
     ])
     def test_malformed_section_rejected(self, tmp_path, capsys, sections,
                                         message):
@@ -137,6 +148,30 @@ class TestValidation:
         assert "end of the run" in capsys.readouterr().err
         assert main(["validate", "fault_thruster1",
                      "--override", "sim.duration=100.01"]) == 0
+
+    def test_zero_step_run_named_as_such(self, capsys):
+        # 0.004 s is no step at all, whatever the fault schedule says
+        assert main(["validate", "fault_thruster1",
+                     "--override", "sim.duration=0.004"]) == 2
+        err = capsys.readouterr().err
+        assert "shorter than one step" in err and "end of the run" not in err
+
+    @pytest.mark.parametrize("key", SCHEMA_LEAVES)
+    def test_every_schema_leaf_read_strictly(self, capsys, key):
+        assert main(["validate", "fig3_baseline",
+                     "--override", f"{key}=.nan"]) == 2
+        err = capsys.readouterr().err
+        assert f"{key}: " in err and "must be finite" in err
+        assert main(["validate", "fig3_baseline",
+                     "--override", f"{key}=true"]) == 2
+        assert f"{key}: expected" in capsys.readouterr().err
+
+    def test_exponent_without_dot_is_a_number(self):
+        # YAML 1.1 reads 1e-2 as the string '1e-2', so strings cannot
+        # simply be refused in numeric fields
+        assert yaml.safe_load("1e-2") == "1e-2"
+        sc = load_scenario("fig3_baseline", overrides=["fdi.c2=1e-2"])
+        assert sc.fdi.c2 == 0.01
 
     def test_parse_error_reported(self, tmp_path):
         path = tmp_path / "broken.yaml"
@@ -228,6 +263,23 @@ class TestCli:
             assert "'sim.dt'" in err and "not valid YAML" in err
             assert "Traceback" not in err
         assert not (out / "short.csv").exists()
+
+    def test_rejected_scenario_leaves_no_out_dir(self, tmp_path, capsys):
+        path = self.short_scenario(tmp_path)
+        out = tmp_path / "fresh"
+        for cmd in ("run", "batch"):
+            assert main([cmd, str(path), "--out", str(out),
+                         "--override", "sim.dt=[1,"]) == 2
+            assert not out.exists()
+
+    def test_out_dir_that_cannot_be_created(self, tmp_path, capsys):
+        path = self.short_scenario(tmp_path)
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / "file" / "out")
+        assert main(["run", str(path), "--out", out]) == 4
+        assert "i/o error" in capsys.readouterr().err
+        assert main(["batch", str(path), "--out", out]) == 4
+        assert "i/o failure" in capsys.readouterr().out
 
     @pytest.mark.parametrize("override", [
         "vehicle.u_max=.nan", "vehicle.alpha=.nan", "vehicle.l=.inf",
