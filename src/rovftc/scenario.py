@@ -9,8 +9,12 @@ key path in the message.
 
 from __future__ import annotations
 
+import copy
+import functools
 import importlib.resources
 import math
+import re
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -55,9 +59,25 @@ def resolve_scenario_path(ref: str) -> Path:
     raise ScenarioError(f"scenario file not found: {ref}")
 
 
-def _defaults() -> dict:
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The one YAML loader: libyaml's safe loader where PyYAML has it, with
+    YAML 1.2 floats, so that a plain `1e-2` is a number and `"1e-2"` is not."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"), "-+.0123456789")
+
+
+@functools.cache
+def _parsed_defaults() -> dict:
     with (_presets_dir() / "defaults.yaml").open() as fh:
-        return yaml.safe_load(fh)
+        return yaml.load(fh, Loader=_Loader)
+
+
+def _defaults() -> dict:
+    """defaults.yaml, parsed once per process; a deep copy for each
+    caller, since merged configurations share its nested lists."""
+    return copy.deepcopy(_parsed_defaults())
 
 
 def _merge(base: dict, over: dict) -> dict:
@@ -101,13 +121,14 @@ def _list(raw, path: str) -> list:
 def _number(raw, path: str) -> float:
     """A finite float. NaN would pass every `<=` range check further in
     and then turn comparisons such as saturation silently false; a YAML
-    boolean (`true`, `yes`, `on`) would run as 1.0."""
-    if isinstance(raw, bool):
+    boolean (`true`, `yes`, `on`) would run as 1.0; a quoted number such
+    as `"0.5"` is most likely a mistake in the file."""
+    if isinstance(raw, bool) or not isinstance(raw, Real):
         raise ScenarioError(f"{path}: expected a number, got {raw!r}")
     try:
         value = float(raw)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{path}: expected a number, got {raw!r}") from exc
+    except OverflowError as exc:  # an int beyond the float range
+        raise ScenarioError(f"{path}: must be finite, got {raw!r}") from exc
     if not math.isfinite(value):
         raise ScenarioError(f"{path}: must be finite, got {raw!r}")
     return value
@@ -123,16 +144,9 @@ def _count(raw, path: str) -> int:
 
 
 def _array(raw, path: str) -> np.ndarray:
-    try:
-        entries = np.asarray(raw, dtype=object)
-        arr = entries.astype(float)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{path}: expected numbers, got {raw!r}") from exc
-    if any(isinstance(x, bool) for x in entries.flat):
-        raise ScenarioError(f"{path}: expected numbers, got {raw!r}")
-    if not np.isfinite(arr).all():
-        raise ScenarioError(f"{path}: entries must be finite, got {raw!r}")
-    return arr
+    """A scalar or (nested) list, each entry read by `_number`."""
+    entries = np.asarray(raw, dtype=object)
+    return np.array([_number(x, path) for x in entries.flat]).reshape(entries.shape)
 
 
 def _section(raw, path: str, schema: dict) -> dict:
@@ -176,7 +190,7 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
         if leaf not in node:
             raise ScenarioError(f"override {key!r}: no such config key")
         try:
-            node[leaf] = yaml.safe_load(raw)
+            node[leaf] = yaml.load(raw, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"override {key!r}: {raw!r} is not valid YAML") from exc
     return out
@@ -233,7 +247,7 @@ def load_scenario(ref: str, overrides: list[str] | None = None) -> Scenario:
     path = resolve_scenario_path(str(ref))
     with open(path) as fh:
         try:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"{path}: YAML parse error: {exc}") from exc
     if not isinstance(raw, dict):

@@ -311,6 +311,12 @@ class Simulation:
         self._joints = (*self.plan.joint_times, math.inf)  # inf: no more joints
         self._g1 = _table(self.gains.gamma1)
         self._g2 = _table(self.gains.gamma2)
+        # running summary: the last boundary seen, the last with |e_eta| > 0.05
+        self._k_last = self._k_bad = -1
+        self._max_res = self._max_res_armed = 0.0
+        self._win = 0  # fault windows opened; window w runs from event w-1
+        self._win_starts = (*(ev.time for ev in self._events), math.inf)
+        self._win_above = [None] * len(self._win_starts)  # last k above threshold
         self._refresh_allocation()
 
     @property
@@ -365,10 +371,10 @@ class Simulation:
                 a5 + sx * (c[5] + 2.0 * (k2[5] + k3[5]) + k4[5]))
 
     def _boundary(self, t: float, want_row: bool = True):
-        """Fault schedule, control snapshot, FDI update at a step start.
-        Returns ((residual, threshold, |e_eta|), row-or-None, c), where c
-        is the final full control snapshot: the commands the plant
-        receives over the step, and RK4 stage k1."""
+        """Fault schedule, control snapshot, FDI update and running
+        summary at the start of step `self.k`, at time t. Returns
+        (row-or-None, c), where c is the final full control snapshot: the
+        commands the plant receives over the step, and RK4 stage k1."""
         while (self._event_idx < len(self._events)
                and self._events[self._event_idx].time <= t + TIME_TOL):
             ev = self._events[self._event_idx]
@@ -395,10 +401,22 @@ class Simulation:
             self.saturation_steps += 1
 
         st = self.engine.state
-        hist = (st.residual, st.threshold,
-                math.sqrt(c[6] * c[6] + c[7] * c[7] + c[8] * c[8]))
+        k = self._k_last = self.k
+        res = st.residual
+        if math.sqrt(c[6] * c[6] + c[7] * c[7] + c[8] * c[8]) > 0.05:
+            self._k_bad = k
+        if res > self._max_res:
+            self._max_res = res
+        if st.armed and res > self._max_res_armed:
+            self._max_res_armed = res
+        w = self._win
+        while t >= self._win_starts[w]:  # exact: k * dt >= event time
+            w += 1
+        self._win = w
+        if res > st.threshold:
+            self._win_above[w] = k
         if not want_row:
-            return hist, None, c
+            return None, c
         g1, g2 = self._g1, self._g2
         v2 = 0.5 * (g1[0] * c[6] ** 2 + g1[1] * c[7] ** 2 + g1[2] * c[8] ** 2
                     + g2[0] * c[12] ** 2 + g2[1] * c[13] ** 2 + g2[2] * c[14] ** 2)
@@ -410,7 +428,7 @@ class Simulation:
                *self._weights,
                *c[15:25],  # u1..u4, tau_c, tau
                v2)
-        return hist, row, c
+        return row, c
 
     def _advance(self, t: float, c: tuple):
         """Integrate one step from t, given the boundary snapshot `c`, and
@@ -430,22 +448,19 @@ class Simulation:
         if self.k >= self.n_steps:
             raise RuntimeError("simulation already at the end of the run")
         t = self.k * self.dt
-        _, row, c = self._boundary(t)
+        row, c = self._boundary(t)
         self._advance(t, c)
         return row
 
     def run(self) -> SimResult:
         sc = self.scenario
-        rows = array("d")  # the kept rows, flat; numpy views both buffers
-        hist = array("d")  # (residual, threshold, |e_eta|) of every step
+        rows = array("d")  # the kept rows, flat; numpy views the buffer
         started = time.perf_counter()
         diverged_time = None
         while self.k <= self.n_steps:
             t = self.k * self.dt
-            record = (self.k % sc.decimation == 0)
-            step_hist, row, c = self._boundary(t, want_row=record)
-            hist.extend(step_hist)
-            if record:
+            row, c = self._boundary(t, want_row=(self.k % sc.decimation == 0))
+            if row is not None:
                 rows.extend(row)
             if self.k == self.n_steps:
                 break
@@ -454,49 +469,38 @@ class Simulation:
                 diverged_time = self.k * self.dt
                 break
         runtime = time.perf_counter() - started
-        summary = self._build_summary(*np.frombuffer(hist).reshape(-1, 3).T,
-                                      runtime, diverged_time)
+        summary = self._build_summary(runtime, diverged_time)
         return SimResult(sc.name, COLUMNS,
                          np.frombuffer(rows).reshape(-1, len(COLUMNS)),
                          summary, self.diverged, diverged_time)
 
     # -- summary ----------------------------------------------------------
 
-    def _build_summary(self, residual_hist, thresh_hist, enorm_hist,
-                       runtime, diverged_time) -> dict:
+    def _build_summary(self, runtime, diverged_time) -> dict:
+        """The summary of every boundary seen so far, from the running
+        values; step k starts at k * dt."""
         sc = self.scenario
         dt = self.dt
         st = self.engine.state
-        n = len(residual_hist)
-        times = np.arange(n) * dt
-        above = residual_hist > thresh_hist
-
+        last, bad = self._k_last, self._k_bad
         # convergence time: |e_eta| stays within 0.05 from t_c onward
-        tol = 0.05
-        bad = np.flatnonzero(enorm_hist > tol)
-        if bad.size == 0:
-            t_c = 0.0
-        elif bad[-1] == n - 1:
-            t_c = None
-        else:
-            t_c = float(times[bad[-1] + 1])
+        t_c = 0.0 if bad < 0 else None if bad == last else (bad + 1) * dt
 
         events = []
         ev_list = self._events
         for j, ev in enumerate(ev_list):
-            t_next = ev_list[j + 1].time if j + 1 < len(ev_list) else times[-1] + dt
+            t_next = ev_list[j + 1].time if j + 1 < len(ev_list) else last * dt + dt
             rises = [tt for tt, rising in st.trigger_log
                      if rising and ev.time <= tt < t_next]
             idents = [(tt, num) for tt, num in st.identified_log
                       if ev.time <= tt < t_next]
-            win = (times >= ev.time) & (times < t_next)
-            win_above = np.flatnonzero(win & above)
-            if win_above.size == 0:
-                reconv = float(ev.time)
-            elif times[win_above[-1]] >= t_next - 2 * dt:
+            k_above = self._win_above[j + 1]
+            if k_above is None:
+                reconv = ev.time
+            elif k_above * dt >= t_next - 2 * dt:
                 reconv = None
             else:
-                reconv = float(times[win_above[-1]] + dt)
+                reconv = k_above * dt + dt
             detected_at = rises[0] if rises else None
             events.append({
                 "time": ev.time,
@@ -512,8 +516,6 @@ class Simulation:
                                          - self.bank.w_true[ev.thruster - 1])),
             })
 
-        armed_idx = np.flatnonzero(~above)
-        first_armed = int(armed_idx[0]) if armed_idx.size else n
         return {
             "scenario": sc.name,
             "duration": sc.duration,
@@ -523,9 +525,8 @@ class Simulation:
             "diverged": self.diverged,
             "diverged_time": diverged_time,
             "t_c": t_c,
-            "max_residual": float(residual_hist.max()) if n else 0.0,
-            "max_residual_after_arming": float(residual_hist[first_armed:].max())
-                                         if first_armed < n else 0.0,
+            "max_residual": self._max_res,
+            "max_residual_after_arming": self._max_res_armed,
             "trigger_count": sum(1 for _, rising in st.trigger_log if rising),
             "identifications": list(st.identified_log),
             "saturation_steps": self.saturation_steps,

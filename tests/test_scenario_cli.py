@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from rovftc import scenario
 from rovftc.cli import main
 from rovftc.scenario import (ScenarioError, apply_overrides, list_presets,
                              load_scenario, preset_path, scenario_from_dict,
@@ -40,6 +41,11 @@ class TestPresets:
     @pytest.mark.parametrize("name", ALL_PRESETS)
     def test_every_preset_validates(self, name):
         assert validate_scenario(name) == []
+
+    def test_loader_reads_presets_as_yaml_1_1_does(self):
+        for name in ALL_PRESETS + ["defaults"]:
+            text = preset_path(name).read_text()
+            assert yaml.load(text, Loader=scenario._Loader) == yaml.safe_load(text)
 
     def test_unknown_preset(self):
         with pytest.raises(ScenarioError, match="unknown preset"):
@@ -104,6 +110,9 @@ class TestValidation:
          "trajectory.segments[0].duration: expected a number"),
         ({"faults": [{"time": 60.0, "thruster": 1}]},
          "faults[0].weight: expected a number"),
+        ({"vehicle": {"u_max": "0.5"}}, "vehicle.u_max: expected a number"),
+        ({"faults": [{"time": "60.0", "thruster": 1, "weight": 0.5}]},
+         "faults[0].time: expected a number"),
     ])
     def test_malformed_section_rejected(self, tmp_path, capsys, sections,
                                         message):
@@ -165,10 +174,20 @@ class TestValidation:
         assert main(["validate", "fig3_baseline",
                      "--override", f"{key}=true"]) == 2
         assert f"{key}: expected" in capsys.readouterr().err
+        assert main(["validate", "fig3_baseline",
+                     "--override", f'{key}="0.5"']) == 2
+        assert f"{key}: expected" in capsys.readouterr().err
+
+    def test_integer_beyond_float_range_rejected(self, capsys):
+        huge = "1" + "0" * 400
+        for override in (f"vehicle.u_max={huge}", f"vehicle.K=[40,40,{huge},40]"):
+            assert main(["validate", "fig3_baseline", "--override", override]) == 2
+            assert "must be finite" in capsys.readouterr().err
 
     def test_exponent_without_dot_is_a_number(self):
-        # YAML 1.1 reads 1e-2 as the string '1e-2', so strings cannot
-        # simply be refused in numeric fields
+        # YAML 1.1 reads 1e-2 as the string '1e-2'; the scenario loader
+        # reads it as YAML 1.2 does, so strings can be refused in numeric
+        # fields, and PyYAML's own SafeLoader is left as it was
         assert yaml.safe_load("1e-2") == "1e-2"
         sc = load_scenario("fig3_baseline", overrides=["fdi.c2=1e-2"])
         assert sc.fdi.c2 == 0.01
@@ -196,6 +215,24 @@ class TestOverrides:
     def test_malformed_rejected(self):
         with pytest.raises(ScenarioError, match="key=value"):
             load_scenario("fig6_sequential", overrides=["fdi.t_s"])
+
+    def test_defaults_parsed_once(self, monkeypatch):
+        parsed = []
+
+        class Spy(scenario._Loader):
+            def __init__(self, stream):
+                parsed.append(getattr(stream, "name", stream))
+                super().__init__(stream)
+
+        monkeypatch.setattr(scenario, "_Loader", Spy)
+        scenario._parsed_defaults.cache_clear()
+        for _ in range(2):
+            load_scenario("fig7_failure", overrides=["fdi.t_s=4"])
+        assert sum(str(p).endswith("defaults.yaml") for p in parsed) == 1
+        assert len(parsed) == 5  # plus each load's file and override
+        # every caller gets its own copy
+        scenario._defaults()["sim"]["initial_state"].append(1.0)
+        assert len(scenario._defaults()["sim"]["initial_state"]) == 6
 
     def test_dict_helper(self):
         cfg = {"fdi": {"t_s": 5.0}, "sim": {"dt": 0.01}}

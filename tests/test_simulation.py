@@ -44,6 +44,58 @@ def crossing_cfg():
     }
 
 
+def two_fault_cfg():
+    """14 s on `crossing_cfg`'s path without its saturation: thruster 1
+    halves at t = 2 s and the residual re-settles; thruster 2 halves at
+    t = 10 s and it has not re-settled when the run ends."""
+    cfg = crossing_cfg()
+    del cfg["vehicle"]
+    cfg["sim"]["duration"] = 14.0
+    cfg["fdi"] = {"t_s": 0.3, "delta_w": 0.2}
+    cfg["faults"] = [{"time": 2.0, "thruster": 1, "weight": 0.5},
+                     {"time": 10.0, "thruster": 2, "weight": 0.5}]
+    return cfg
+
+
+def start_up_cfg():
+    """12 fault-free seconds from rest, off the reference: the tracking
+    error converges."""
+    return {"sim": {"duration": 12.0}}
+
+
+def oracle_summary(residual, threshold, enorm, dt, events):
+    """The summary fields that depend on every step, from whole-run
+    arrays of (residual, threshold, |e_eta|) per step boundary."""
+    residual, threshold, enorm = map(np.array, (residual, threshold, enorm))
+    n = len(residual)
+    times = np.arange(n) * dt
+    above = residual > threshold
+    bad = np.flatnonzero(enorm > 0.05)
+    if bad.size == 0:
+        t_c = 0.0
+    elif bad[-1] == n - 1:
+        t_c = None
+    else:
+        t_c = float(times[bad[-1] + 1])
+    reconverged = []
+    for j, ev in enumerate(events):
+        t_next = events[j + 1].time if j + 1 < len(events) else times[-1] + dt
+        win_above = np.flatnonzero((times >= ev.time) & (times < t_next) & above)
+        if win_above.size == 0:
+            reconverged.append(float(ev.time))
+        elif times[win_above[-1]] >= t_next - 2 * dt:
+            reconverged.append(None)
+        else:
+            reconverged.append(float(times[win_above[-1]] + dt))
+    armed_idx = np.flatnonzero(~above)
+    first_armed = int(armed_idx[0]) if armed_idx.size else n
+    return {"t_c": t_c,
+            "max_residual": float(residual.max()),
+            "max_residual_after_arming": (float(residual[first_armed:].max())
+                                          if first_armed < n else 0.0),
+            "reconverged_at": reconverged}
+
+
 def traced_peak(fn, *args):
     """fn(*args) and the peak of the memory allocated while it ran."""
     tracemalloc.start()
@@ -155,13 +207,13 @@ class TestStep:
         seen = []
 
         def checked_boundary(t, want_row=True):
-            hist, row, c = boundary(t, want_row)
+            row, c = boundary(t, want_row)
             s, ref = sim._s, sim.plan.sample_flat(t)
             # the snapshot is taken after any reconfiguration at t
             assert c == sim._control(s, ref)
             assert c[:6] == sim._control(s, ref, False)
             seen.append(t)
-            return hist, row, c
+            return row, c
 
         sim._boundary = checked_boundary
         rows = [sim.step() for _ in range(sim.n_steps)]
@@ -301,6 +353,59 @@ class TestRun:
                                             "decimation": 1})).run()
         _, peak = traced_peak(res.write_csv, tmp_path / "record.csv")
         assert peak < 0.25 * res.rows.nbytes
+
+    @pytest.mark.parametrize("make_cfg", [crossing_cfg, two_fault_cfg,
+                                          start_up_cfg])
+    def test_summary_matches_whole_run_oracle(self, make_cfg):
+        sim = Simulation(make_scenario(**make_cfg()))
+        st = sim.engine.state
+        residual, threshold, enorm = [], [], []
+        e_eta = [COLUMNS.index(name) for name in ("e_x", "e_y", "e_psi")]
+
+        def collect(row):
+            residual.append(st.residual)
+            threshold.append(st.threshold)
+            enorm.append(math.sqrt(sum(row[i] * row[i] for i in e_eta)))
+
+        for _ in range(sim.n_steps):
+            collect(sim.step())
+        collect(sim.run().rows[-1])  # the boundary at the end of the run
+        summary = Simulation(make_scenario(**make_cfg())).run().summary
+        want = oracle_summary(residual, threshold, enorm, sim.dt, sim._events)
+        assert len(residual) == sim.n_steps + 1
+        assert summary["t_c"] == want["t_c"]
+        assert summary["max_residual"] == want["max_residual"]
+        assert (summary["max_residual_after_arming"]
+                == want["max_residual_after_arming"])
+        assert ([e["reconverged_at"] for e in summary["events"]]
+                == want["reconverged_at"])
+
+    @pytest.mark.parametrize("make_cfg, m", [
+        (start_up_cfg, 1), (start_up_cfg, 100),
+        (two_fault_cfg, 250),  # past the first fault, at step 200
+    ])
+    def test_run_after_steps_summarises_the_whole_run(self, make_cfg, m):
+        sim = Simulation(make_scenario(**make_cfg()))
+        for _ in range(m):
+            sim.step()
+        stepped = sim.run().summary
+        plain = Simulation(make_scenario(**make_cfg())).run().summary
+        stepped.pop("runtime_s")
+        plain.pop("runtime_s")
+        assert stepped == plain
+
+    def test_summary_memory_does_not_grow_with_steps(self):
+        # decimation spans the whole run, so each run keeps 2 rows
+        def peak(steps):
+            sc = make_scenario(sim={"duration": steps * 0.01,
+                                    "decimation": steps})
+            sim = Simulation(sc)
+            res, used = traced_peak(sim.run)
+            assert res.rows.shape[0] == 2
+            return used
+
+        peak(200)  # warm-up: one-off allocations land here
+        assert peak(2000) <= peak(200) + 4096
 
     def test_integration_order_on_smooth_run(self):
         # transient-phase global error shrinks ~16x when dt halves
