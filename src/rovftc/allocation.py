@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .vehicle import ThrusterBank, ThrusterGeometry
+from .vehicle import ThrusterBank, ThrusterGeometry, positive_definite
 
 
 class AllocationResult(NamedTuple):
@@ -25,10 +25,13 @@ class AllocationResult(NamedTuple):
 
 def pseudo_inverse(t_conf: np.ndarray) -> np.ndarray:
     """Minimum-norm right inverse T^T (T T^T)^-1 of the 3x4 configuration
-    matrix. Rejects rank-deficient geometry."""
+    matrix. Rejects rank-deficient geometry: the gram T T^T has rank 3
+    when its smallest eigenvalue exceeds tol, that is when T T^T - tol I
+    is positive definite."""
     t_conf = np.asarray(t_conf, dtype=float)
     gram = t_conf @ t_conf.T
-    if np.linalg.matrix_rank(gram, tol=1e-10 * max(1.0, np.abs(gram).max())) < 3:
+    tol = 1e-10 * max(1.0, np.abs(gram).max())
+    if not positive_definite(gram - tol * np.eye(3)):
         raise ValueError("configuration matrix is rank deficient; "
                          "cannot form the right inverse")
     return t_conf.T @ np.linalg.inv(gram)

@@ -134,6 +134,17 @@ def _number(raw, path: str) -> float:
     return value
 
 
+def _file_name(raw) -> str:
+    """The scenario name, which names its output files in --out: a
+    non-empty string that is one path component, so that no name can
+    write outside --out."""
+    if (not isinstance(raw, str) or raw in ("", ".", "..")
+            or any(ch in raw for ch in "/\\\0")):
+        raise ScenarioError("name: expected one file name (no '/', '\\' "
+                            f"or NUL; not '.' or '..'), got {raw!r}")
+    return raw
+
+
 def _count(raw, path: str) -> int:
     """A whole number; integral floats such as 3.0 are accepted, booleans
     are not."""
@@ -197,6 +208,7 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
 
 
 def scenario_from_dict(config: dict, name: str = "scenario") -> Scenario:
+    name = _file_name(name)
     defaults = _defaults()
     unknown = sorted(set(_mapping(config, "scenario")) - set(defaults))
     if unknown:

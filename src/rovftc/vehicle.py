@@ -23,6 +23,23 @@ def wrap_angle(angle: float) -> float:
     return r - math.pi
 
 
+def positive_definite(m) -> bool:
+    """Whether the symmetric 3x3 matrix `m` is positive definite, read
+    from its upper triangle: Sylvester's criterion on the pivots of its
+    LDL^T (Cholesky) factorisation, in plain floats, so that no LAPACK
+    routine runs. Decides as a positive smallest eigenvalue does, except
+    for one within rounding of zero. A NaN entry fails."""
+    a, b, c = (float(x) for x in m[0])
+    d, e, f = float(m[1][1]), float(m[1][2]), float(m[2][2])
+    if not a > 0.0:
+        return False
+    d2 = d - b * b / a
+    if not d2 > 0.0:
+        return False
+    e2 = e - c * b / a
+    return f - c * c / a - e2 * e2 / d2 > 0.0
+
+
 def rotation_matrix(psi: float) -> np.ndarray:
     """Body-to-navigation rotation about the vertical axis.
 
@@ -89,11 +106,11 @@ class VehicleParams:
             raise ValueError("quad_damping must have 3 entries")
         if not np.allclose(self.inertia, self.inertia.T, atol=1e-12):
             raise ValueError("inertia must be symmetric")
-        if np.any(np.linalg.eigvalsh(self.inertia) <= 0.0):
+        if not positive_definite(self.inertia):
             raise ValueError("inertia must be positive definite")
         # strict positive definiteness of B via its symmetric part
         sym_b = 0.5 * (self.B + self.B.T)
-        if np.any(np.linalg.eigvalsh(sym_b) <= 0.0):
+        if not positive_definite(sym_b):
             raise ValueError("B must be strictly positive definite")
         self.inertia_inv = np.linalg.inv(self.inertia)
         self.B_inv = np.linalg.inv(self.B)

@@ -42,6 +42,51 @@ class TestPseudoInverse:
         with pytest.raises(ValueError):
             pseudo_inverse(flat)
 
+    @staticmethod
+    def full_rank_by_svd(t):
+        gram = t @ t.T
+        tol = 1e-10 * max(1.0, np.abs(gram).max())
+        return np.linalg.matrix_rank(gram, tol=tol) == 3
+
+    @staticmethod
+    def accepted(t):
+        try:
+            pseudo_inverse(t)
+        except ValueError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("rank", [3, 2])
+    def test_rank_decided_as_matrix_rank(self, rng, rank):
+        verdicts = []
+        for _ in range(500):
+            t = (rng.normal(size=(3, rank)) @ rng.normal(size=(rank, 4))
+                 * 10.0 ** rng.uniform(-3, 3))
+            verdicts.append(self.accepted(t))
+            assert verdicts[-1] == self.full_rank_by_svd(t)
+        # a rank-3 draw may still be within tol of rank 2
+        assert sum(verdicts) > 450 if rank == 3 else not any(verdicts)
+
+    def test_geometry_rank_decided_as_matrix_rank(self):
+        # the extremes are valid orientations whose gram is within tol of
+        # rank 2
+        extremes = [1e-9, 1e-6, math.pi / 2 - 1e-9]
+        verdicts = []
+        for alpha in [*np.linspace(0.0, math.pi / 2, 2001)[1:-1], *extremes]:
+            for l in (1e-3, 0.2, 5.0):
+                t = config_matrix(alpha, l)
+                verdicts.append(self.accepted(t))
+                assert verdicts[-1] == self.full_rank_by_svd(t)
+        n = 3 * len(extremes)
+        assert all(verdicts[:-n]) and not any(verdicts[-n:])
+
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2), (2, 3)])
+    def test_nan_entry_rejected(self, geom, where):
+        t = geom.t_conf.copy()
+        t[where] = math.nan
+        with pytest.raises(ValueError, match="rank deficient"):
+            pseudo_inverse(t)
+
 
 class TestAllocate:
     def test_exact_surge_commands(self, bank, geom):

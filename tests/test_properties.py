@@ -1,0 +1,85 @@
+"""Property tests over the paper's reconfiguration invariants: short runs
+that cross one or two random faults, with random update period and
+decrement. Examples are derandomized, so the suite stays deterministic."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from rovftc.scenario import scenario_from_dict
+from rovftc.simulation import Simulation
+
+HALF_PI = math.pi / 2
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=8)
+
+
+@st.composite
+def fault_runs(draw):
+    """10 s on a straight leg, starting on the reference, with no settle
+    time: 1-2 faults between 0.5 and 7 s on random thrusters (each weight
+    below the thruster's current one), t_s in [0.01, 2] s and delta_w in
+    [0.01, 0.5]."""
+    times = sorted(draw(st.lists(st.integers(50, 700), min_size=1,
+                                 max_size=2, unique=True)))
+    current = [1.0] * 4
+    faults = []
+    for k in times:
+        i = draw(st.sampled_from([j for j in range(1, 5) if current[j - 1] > 0]))
+        current[i - 1] *= draw(st.integers(0, 9)) / 10
+        faults.append({"time": k / 100, "thruster": i, "weight": current[i - 1]})
+    return {
+        "sim": {"duration": 10.0, "settle_time": 0.0,
+                "decimation": draw(st.sampled_from([1, 7])),
+                "initial_state": [10.0, 5.0, HALF_PI, 1.0, 0.0, 0.0]},
+        "fdi": {"t_s": draw(st.integers(1, 200)) / 100,
+                "delta_w": draw(st.integers(1, 50)) / 100},
+        "trajectory": {"initial_pose": [10.0, 5.0, HALF_PI],
+                       "segments": [{"mode": "straight", "duration": 20.0,
+                                     "speed": 1.0, "heading": HALF_PI}]},
+        "faults": faults,
+    }
+
+
+def stepped(cfg):
+    """The run through `step()`: yields (simulation, w_hat before the
+    step, the row) after every step."""
+    sim = Simulation(scenario_from_dict(cfg, name="prop"))
+    for _ in range(sim.n_steps):
+        before = sim.bank.w_hat.copy()
+        row = sim.step()
+        yield sim, before, row
+
+
+@PROPERTY
+@given(fault_runs())
+def test_estimates_never_rise_and_stay_above_floor(cfg):
+    for sim, before, _ in stepped(cfg):
+        w_hat = sim.bank.w_hat
+        assert np.all(w_hat <= before), (sim.k, before, w_hat)
+        assert np.all(w_hat >= sim.engine.cfg.w_min), (sim.k, w_hat)
+
+
+@PROPERTY
+@given(fault_runs())
+def test_only_identified_estimate_moves(cfg):
+    for sim, before, _ in stepped(cfg):
+        moved = np.flatnonzero(sim.bank.w_hat != before)
+        if moved.size:
+            state = sim.engine.state
+            assert list(moved) == [state.fault_num - 1], (
+                sim.k, before, sim.bank.w_hat)
+            assert state.identified_log[-1][1] == state.fault_num
+
+
+@PROPERTY
+@given(fault_runs())
+def test_step_rows_equal_run_rows(cfg):
+    steps = list(stepped(cfg))
+    sim, rows = steps[-1][0], [row for _, _, row in steps]
+    dec = sim.scenario.decimation
+    kept = np.concatenate([np.array(rows[::dec]), sim.run().rows])
+    plain = Simulation(scenario_from_dict(cfg, name="prop")).run()
+    assert kept.tobytes() == plain.rows.tobytes()

@@ -309,6 +309,22 @@ class TestCli:
                          "--override", "sim.dt=[1,"]) == 2
             assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["../escaped", [1, 2], "", "sub/x",
+                                      ".", "..", "a\\b", "a\0b"])
+    def test_name_must_be_one_file_name(self, tmp_path, capsys, name):
+        work = tmp_path / "work"
+        work.mkdir()
+        path = work / "member.yaml"
+        path.write_text(yaml.safe_dump({"name": name,
+                                        "sim": {"duration": 1.0}}))
+        for cmd in ("run", "batch"):
+            assert main([cmd, str(path), "--out", str(work / "out")]) == 2
+            assert "name: expected one file name" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["member.yaml",
+                                                               "work"]
+        with pytest.raises(ScenarioError, match="name"):
+            scenario_from_dict({}, name=name)
+
     def test_out_dir_that_cannot_be_created(self, tmp_path, capsys):
         path = self.short_scenario(tmp_path)
         (tmp_path / "file").write_text("")

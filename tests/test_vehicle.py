@@ -6,8 +6,8 @@ import pytest
 from rovftc.allocation import achieved_wrench
 from rovftc.vehicle import (ThrusterBank, VehicleParams, VehicleState,
                             config_matrix, coriolis_vector, dynamics_rhs,
-                            eval_fv, kinematics_rhs, rotation_matrix,
-                            wrap_angle)
+                            eval_fv, kinematics_rhs, positive_definite,
+                            rotation_matrix, wrap_angle)
 
 
 def test_wrap_angle_range():
@@ -248,3 +248,63 @@ class TestParamValidation:
             ThrusterBank(K=np.full(4, 40.0), w_hat=[0.01, 1, 1, 1])
         with pytest.raises(ValueError):
             ThrusterBank(K=[40.0, -1.0, 40.0, 40.0])
+
+
+def random_symmetric(rng, n):
+    """n seeded symmetric 3x3 matrices with random eigenvalue signs and
+    every |eigenvalue| at least 1e-6 of the largest."""
+    out = []
+    while len(out) < n:
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        lam = (rng.choice([-1.0, 1.0], 3, p=[0.3, 0.7])
+               * 10.0 ** rng.uniform(-5, 1, 3))
+        if np.abs(lam).min() >= 1e-6 * np.abs(lam).max():
+            out.append((q * lam) @ q.T)
+    return out
+
+
+class TestPositiveDefinite:
+    @pytest.mark.parametrize("sign", [(1, 1, 1), (-1, 1, 1), (1, -1, 1),
+                                      (1, 1, -1), (1, -1, -1)])
+    def test_sign_of_each_pivot(self, sign):
+        l = np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [-2.0, 0.25, 1.0]])
+        d = np.array([4.0, 2.0, 0.5]) * sign
+        assert positive_definite((l * d) @ l.T) == (min(sign) > 0)
+
+    def test_model_checks_decide_as_eigvalsh(self, rng):
+        """Each random matrix as the inertia, and as the symmetric part of
+        an asymmetric B: accepted exactly when eigvalsh finds it
+        positive definite."""
+        skew = np.triu(np.ones((3, 3)), 1) - np.tril(np.ones((3, 3)), -1)
+        verdicts = {"inertia": [], "B": []}
+        mats = random_symmetric(rng, 500)
+        for m in mats:
+            for name, given in (("inertia", m), ("B", m + skew)):
+                kwargs = {"inertia": np.eye(3), "B": np.eye(3), name: given}
+                try:
+                    VehicleParams(lin_damping=np.eye(3),
+                                  quad_damping=np.ones(3), **kwargs)
+                    verdicts[name].append(True)
+                except ValueError as exc:
+                    assert "positive definite" in str(exc)
+                    verdicts[name].append(False)
+        oracle = [np.linalg.eigvalsh(m).min() > 0.0 for m in mats]
+        assert verdicts["inertia"] == verdicts["B"] == oracle
+        assert 0 < sum(oracle) < len(oracle)  # both answers are exercised
+
+    @pytest.mark.parametrize("m", [
+        [[0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    ])
+    def test_zero_pivot_is_not_divided_by(self, m):
+        assert not positive_definite(np.array(m))
+
+    @pytest.mark.parametrize("name", ["inertia", "B"])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 1), (2, 2), (1, 2)])
+    def test_nan_entry_rejected(self, name, where):
+        mats = {"inertia": np.eye(3), "B": np.eye(3)}
+        mats[name][where] = mats[name][where[::-1]] = math.nan
+        # a ValueError of the model's own, not numpy's LinAlgError
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            VehicleParams(lin_damping=np.eye(3), quad_damping=np.ones(3),
+                          **mats)
