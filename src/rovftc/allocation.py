@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .vehicle import ThrusterBank, ThrusterGeometry, positive_definite
+from .vehicle import ThrusterBank, ThrusterGeometry, pseudo_inverse  # re-exported
 
 
 class AllocationResult(NamedTuple):
@@ -23,32 +23,18 @@ class AllocationResult(NamedTuple):
     saturated: bool      # any command hit the limit
 
 
-def pseudo_inverse(t_conf: np.ndarray) -> np.ndarray:
-    """Minimum-norm right inverse T^T (T T^T)^-1 of the 3x4 configuration
-    matrix. Rejects rank-deficient geometry: the gram T T^T has rank 3
-    when its smallest eigenvalue exceeds tol, that is when T T^T - tol I
-    is positive definite."""
-    t_conf = np.asarray(t_conf, dtype=float)
-    gram = t_conf @ t_conf.T
-    tol = 1e-10 * max(1.0, np.abs(gram).max())
-    if not positive_definite(gram - tol * np.eye(3)):
-        raise ValueError("configuration matrix is rank deficient; "
-                         "cannot form the right inverse")
-    return t_conf.T @ np.linalg.inv(gram)
-
-
-def _distribution_matrix(t_conf: np.ndarray, active: np.ndarray) -> np.ndarray:
+def _distribution_matrix(geom: ThrusterGeometry, active: np.ndarray) -> np.ndarray:
     """4x3 matrix sending a wrench to per-thruster forces, with inactive
-    columns zeroed. Full bank uses the closed-form right inverse; reduced
-    banks fall back to the SVD pseudo-inverse (least squares when the
-    remaining columns no longer span the wrench space)."""
+    columns zeroed. Full bank uses the geometry's closed-form right
+    inverse; reduced banks fall back to the SVD pseudo-inverse (least
+    squares when the remaining columns no longer span the wrench space)."""
     if active.all():
-        return pseudo_inverse(t_conf)
+        return geom.t_pinv
     dist = np.zeros((4, 3))
     idx = np.flatnonzero(active)
     if idx.size == 0:
         return dist
-    dist[idx, :] = np.linalg.pinv(t_conf[:, idx])
+    dist[idx, :] = np.linalg.pinv(geom.t_conf[:, idx])
     return dist
 
 
@@ -64,7 +50,7 @@ def allocate(tau_c, bank: ThrusterBank, geom: ThrusterGeometry) -> AllocationRes
     if np.any(bank.w_hat < bank.w_min - 1e-12):
         raise ValueError("weight estimate below the floor w_min")
     active = ~bank.failed_mask()
-    forces = _distribution_matrix(geom.t_conf, active) @ tau
+    forces = _distribution_matrix(geom, active) @ tau
     u_raw = np.where(active, forces / (bank.K * np.where(active, bank.w_hat, 1.0)), 0.0)
     u_cmd = np.clip(u_raw, -bank.u_max, bank.u_max)
     return AllocationResult(u_raw, u_cmd, bool(np.any(np.abs(u_raw) > bank.u_max)))

@@ -15,20 +15,13 @@ from functools import partial
 from pathlib import Path
 
 from .scenario import (ScenarioError, list_presets, load_scenario,
-                       load_validated, validate_scenario)
+                       validate_scenario)
 from .simulation import Scenario, Simulation, format_summary
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DIVERGENCE = 3
 EXIT_IO = 4
-
-
-def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a whole number of at least 1, got {text!r}")
-    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,16 +48,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for cmd in (run, batch):
         cmd.add_argument("--out", default=".", metavar="DIR",
                          help="output directory (default: current)")
-        cmd.add_argument("--decimation", type=_positive_int, default=None,
-                         metavar="N",
-                         help="record every N-th step")
     return parser
 
 
-def _run_one(scenario: Scenario, out_dir: Path, overrides, decimation):
+def _run_one(scenario: Scenario, out_dir: Path, overrides):
     out_dir.mkdir(parents=True, exist_ok=True)
-    if decimation is not None:
-        scenario.decimation = decimation
     result = Simulation(scenario).run()
     csv_path = out_dir / f"{scenario.name}.csv"
     summary_path = out_dir / f"{scenario.name}_summary.txt"
@@ -74,11 +62,11 @@ def _run_one(scenario: Scenario, out_dir: Path, overrides, decimation):
     return result, csv_path, summary_path
 
 
-def _run_member(out_dir: Path, overrides, decimation, scenario: Scenario):
+def _run_member(out_dir: Path, overrides, scenario: Scenario):
     """Batch pool worker: run one member and write its files. Returns
     (summary, diverged), or the OSError that stopped it."""
     try:
-        result, _, _ = _run_one(scenario, out_dir, overrides, decimation)
+        result, _, _ = _run_one(scenario, out_dir, overrides)
     except OSError as exc:
         return exc
     return result.summary, result.diverged
@@ -88,7 +76,7 @@ def _cmd_run(args) -> int:
     try:
         result, csv_path, summary_path = _run_one(
             load_scenario(args.scenario, args.override), Path(args.out),
-            args.override, args.decimation)
+            args.override)
     except ScenarioError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -108,13 +96,14 @@ def _cmd_batch(args) -> int:
     scenarios = []
     owners = {}
     for ref in args.scenarios:
-        scenario, issues = load_validated(ref, args.override)
-        if not issues and scenario.name in owners:
-            issues = [f"same name {scenario.name!r} as {owners[scenario.name]}; "
-                      f"both would write {scenario.name}.csv"]
-        if issues:
-            for msg in issues:
-                print(f"validation error in {ref}: {msg}", file=sys.stderr)
+        try:
+            scenario = load_scenario(ref, args.override)
+            if scenario.name in owners:
+                raise ScenarioError(
+                    f"same name {scenario.name!r} as {owners[scenario.name]}; "
+                    f"both would write {scenario.name}.csv")
+        except ScenarioError as exc:
+            print(f"validation error in {ref}: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
         owners[scenario.name] = ref
         scenarios.append(scenario)
@@ -136,8 +125,7 @@ def _cmd_batch(args) -> int:
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(
             "fork" if fork else None)) as pool:
         outcomes = list(pool.map(partial(_run_member, Path(args.out),
-                                         args.override, args.decimation),
-                                 scenarios))
+                                         args.override), scenarios))
     for ref, outcome in zip(args.scenarios, outcomes):
         if isinstance(outcome, OSError):
             rows.append(f"{ref:24s} i/o failure: {outcome}")

@@ -255,13 +255,16 @@ def scenario_from_dict(config: dict, name: str = "scenario") -> Scenario:
 
 
 def load_scenario(ref: str, overrides: list[str] | None = None) -> Scenario:
-    """Load and validate a scenario file or preset name."""
+    """Load and validate a scenario file or preset name; a file that
+    cannot be read or decoded is a ScenarioError too."""
     path = resolve_scenario_path(str(ref))
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, "rb") as fh:
             raw = yaml.load(fh, Loader=_Loader)
-        except yaml.YAMLError as exc:
-            raise ScenarioError(f"{path}: YAML parse error: {exc}") from exc
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ScenarioError(f"{path}: YAML parse error: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: top level must be a mapping")
     name = raw.pop("name", path.stem)
@@ -270,18 +273,11 @@ def load_scenario(ref: str, overrides: list[str] | None = None) -> Scenario:
     return scenario_from_dict(raw, name=name)
 
 
-def load_validated(ref: str, overrides: list[str] | None = None):
-    """`load_scenario` that reports instead of raising: returns
-    (scenario, []) when valid, else (None, violation messages)."""
-    try:
-        return load_scenario(ref, overrides), []
-    except ScenarioError as exc:
-        return None, [str(exc)]
-    except OSError as exc:
-        return None, [f"cannot read scenario: {exc}"]
-
-
 def validate_scenario(ref: str, overrides: list[str] | None = None) -> list[str]:
     """Full schema and invariant check. Returns a list of violation
     messages (empty when the scenario is valid)."""
-    return load_validated(ref, overrides)[1]
+    try:
+        load_scenario(ref, overrides)
+    except ScenarioError as exc:
+        return [str(exc)]
+    return []

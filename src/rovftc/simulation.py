@@ -76,9 +76,6 @@ class FaultSchedule:
     def __post_init__(self):
         self.events = [FaultEvent(float(t), int(i), float(w))
                        for t, i, w in self.events]
-        self.validate()
-
-    def validate(self):
         current = {i: 1.0 for i in range(1, 5)}
         prev_time = None
         for ev in self.events:
@@ -330,7 +327,7 @@ class Simulation:
         """Rebuild the wrench-to-command rows; called whenever the weight
         estimates (and hence the excluded set) change."""
         active = ~self.bank.failed_mask()
-        dist = _distribution_matrix(self.geom.t_conf, active)
+        dist = _distribution_matrix(self.geom, active)
         rows = dist / np.where(active, self.bank.K * self.bank.w_hat, 1.0)[:, None]
         rows[~active, :] = 0.0
         self._alloc = _table(rows)

@@ -174,17 +174,35 @@ def config_matrix(alpha: float, l: float) -> np.ndarray:
     ])
 
 
+def pseudo_inverse(t_conf: np.ndarray) -> np.ndarray:
+    """Minimum-norm right inverse T^T (T T^T)^-1 of the 3x4 configuration
+    matrix. Rejects rank-deficient geometry: the gram T T^T has rank 3
+    when its smallest eigenvalue exceeds tol, that is when T T^T - tol I
+    is positive definite."""
+    t_conf = np.asarray(t_conf, dtype=float)
+    gram = t_conf @ t_conf.T
+    tol = 1e-10 * max(1.0, np.abs(gram).max())
+    if not positive_definite(gram - tol * np.eye(3)):
+        raise ValueError("configuration matrix is rank deficient; "
+                         "cannot form the right inverse")
+    return t_conf.T @ np.linalg.inv(gram)
+
+
 @dataclass
 class ThrusterGeometry:
-    """Thruster orientation, moment arm, and the derived configuration
-    matrix (full row rank for any valid alpha, l)."""
+    """Thruster orientation, moment arm, the derived configuration matrix
+    and its read-only right inverse. The rank is decided here, once: alpha
+    near 0 or pi/2, or a vanishing arm, is within tol of rank 2 and fails."""
 
     alpha: float = math.pi / 4.0  # rad
     l: float = 0.2                # m
     t_conf: np.ndarray = field(init=False)
+    t_pinv: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.t_conf = config_matrix(self.alpha, self.l)
+        self.t_pinv = pseudo_inverse(self.t_conf)
+        self.t_pinv.flags.writeable = False
 
 
 @dataclass

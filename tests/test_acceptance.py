@@ -23,23 +23,23 @@ def report(num, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def baseline():
-    return Simulation(load_scenario("fig3_baseline")).run()
+def baseline(presets):
+    return presets.result("fig3_baseline")
 
 
 @pytest.fixture(scope="module")
-def sequential():
-    return Simulation(load_scenario("fig6_sequential")).run()
+def sequential(presets):
+    return presets.result("fig6_sequential")
 
 
 @pytest.fixture(scope="module")
-def failure():
-    return Simulation(load_scenario("fig7_failure")).run()
+def failure(presets):
+    return presets.result("fig7_failure")
 
 
 @pytest.fixture(scope="module")
-def ts_stress():
-    return Simulation(load_scenario("fig10_ts_stress")).run()
+def ts_stress(presets):
+    return presets.result("fig10_ts_stress")
 
 
 def outside_hold_windows(t, joints, hold):

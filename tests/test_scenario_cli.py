@@ -489,15 +489,54 @@ class TestCli:
     def test_decimation_flag(self, tmp_path):
         path = self.short_scenario(tmp_path)
         main(["run", str(path), "--out", str(tmp_path / "out"),
-              "--decimation", "50"])
+              "--override", "sim.decimation=50"])
         rows = (tmp_path / "out" / "short.csv").read_text().splitlines()
         assert len(rows) == 1 + 11  # header + 5 s / (50 * 0.01 s) + final
 
     @pytest.mark.parametrize("value", ["0", "-3", "2.5"])
     def test_decimation_flag_rejects_bad_count(self, tmp_path, capsys, value):
         path = self.short_scenario(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main(["run", str(path), "--out", str(tmp_path / "out"),
-                  "--decimation", value])
-        assert exc.value.code == 2
+        assert main(["run", str(path), "--out", str(tmp_path / "out"),
+                     "--override", f"sim.decimation={value}"]) == 2
         assert not (tmp_path / "out" / "short.csv").exists()
+
+    @staticmethod
+    def rejected_by_every_command(ref, tmp_path, capsys, *extra):
+        """validate, run and batch each exit 2 with no traceback and no
+        --out directory; returns what each printed on stderr."""
+        out = tmp_path / "out"
+        errs = []
+        for argv in (["validate", str(ref)],
+                     ["run", str(ref), "--out", str(out)],
+                     ["batch", str(ref), "--out", str(out)]):
+            assert main(argv + list(extra)) == 2
+            errs.append(capsys.readouterr().err)
+            assert "Traceback" not in errs[-1]
+        assert not out.exists()
+        return errs
+
+    @pytest.mark.parametrize("override", [
+        "vehicle.alpha=1e-6", "vehicle.alpha=1.5707963", "vehicle.l=1e-200"])
+    def test_rank_deficient_geometry_rejected(self, tmp_path, capsys,
+                                              override):
+        # valid for config_matrix, but within tolerance of rank 2
+        for err in self.rejected_by_every_command(
+                "fig3_baseline", tmp_path, capsys, "--override", override):
+            assert "rank deficient" in err
+
+    def test_undecodable_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"# \xff\xfe")
+        for err in self.rejected_by_every_command(path, tmp_path, capsys):
+            assert "YAML parse error" in err
+
+    def test_unreadable_file_rejected(self, tmp_path, capsys, monkeypatch):
+        # chmod cannot lock out root, so the module's `open` refuses instead
+        path = self.short_scenario(tmp_path)
+
+        def refuse(file, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(file))
+
+        monkeypatch.setattr(scenario, "open", refuse, raising=False)
+        for err in self.rejected_by_every_command(path, tmp_path, capsys):
+            assert "cannot read scenario" in err

@@ -155,16 +155,21 @@ class TestFaultSchedule:
 
 def test_setup_calls_no_eigen_or_svd_routine(monkeypatch):
     """Loading a scenario, building the simulation and a full-bank
-    allocation rebuild decide definiteness and rank in closed form."""
+    allocation rebuild decide definiteness and rank in closed form, and
+    the rebuild reuses the geometry's right inverse instead of inverting
+    the gram again."""
     def refuse(*args, **kwargs):
-        raise AssertionError("LAPACK eigen/SVD routine called")
+        raise AssertionError("LAPACK eigen, SVD or inverse routine called")
 
     impl = getattr(np.linalg, "_linalg", np.linalg)  # numpy 2 keeps them here
-    for module in {np.linalg, impl}:
+    modules = {np.linalg, impl}
+    for module in modules:
         for name in ("eigvalsh", "matrix_rank", "svd"):
             monkeypatch.setattr(module, name, refuse)
     sim = Simulation(load_scenario("fig3_baseline"))
     assert not sim.bank.failed_mask().any()
+    for module in modules:
+        monkeypatch.setattr(module, "inv", refuse)
     sim._refresh_allocation()
     sim.step()
 
