@@ -184,27 +184,23 @@ def _built(where: str, make, *args, **kwargs):
 
 
 def apply_overrides(config: dict, overrides: list[str]) -> dict:
-    """Apply repeatable `section.key=value` overrides. The key must
-    already exist in the merged configuration."""
-    out = {k: (dict(v) if isinstance(v, dict) else v) for k, v in config.items()}
+    """Merge each `a.b=v` over `config` as `{a: {b: v}}`; a non-mapping on
+    the path is an error, unknown keys are left to the schema reader."""
     for item in overrides:
         if "=" not in item:
             raise ScenarioError(f"override {item!r}: expected key=value")
         key, _, raw = item.partition("=")
-        parts = key.strip().split(".")
-        node = out
-        for part in parts[:-1]:
-            if not isinstance(node.get(part), dict):
-                raise ScenarioError(f"override {key!r}: unknown section {part!r}")
-            node = node[part]
-        leaf = parts[-1]
-        if leaf not in node:
-            raise ScenarioError(f"override {key!r}: no such config key")
         try:
-            node[leaf] = yaml.load(raw, Loader=_Loader)
+            value = yaml.load(raw, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"override {key!r}: {raw!r} is not valid YAML") from exc
-    return out
+        parts, node = key.strip().split("."), config
+        for i, part in enumerate(parts):
+            node = _mapping(node, ".".join(parts[:i]) or "scenario").get(part, {})
+        for part in reversed(parts):
+            value = {part: value}
+        config = _merge(config, value)
+    return config
 
 
 def scenario_from_dict(config: dict, name: str = "scenario") -> Scenario:
@@ -268,9 +264,7 @@ def load_scenario(ref: str, overrides: list[str] | None = None) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: top level must be a mapping")
     name = raw.pop("name", path.stem)
-    if overrides:
-        raw = apply_overrides(_merge(_defaults(), raw), list(overrides))
-    return scenario_from_dict(raw, name=name)
+    return scenario_from_dict(apply_overrides(raw, overrides or []), name=name)
 
 
 def validate_scenario(ref: str, overrides: list[str] | None = None) -> list[str]:

@@ -302,8 +302,9 @@ class Simulation:
         self._s = tuple(s0)  # (x, y, psi, u, v, r), psi wrapped
         self.diverged = False
         self.saturation_steps = 0
-        self._event_idx = 0
+        self._event_idx = 0  # events applied; also the open fault window
         self._events = scenario.schedule.events
+        self._event_k = []  # the step at which each applied event acted
         self._joint_idx = 0  # first joint not yet behind the clock
         self._joints = (*self.plan.joint_times, math.inf)  # inf: no more joints
         self._g1 = _table(self.gains.gamma1)
@@ -311,9 +312,7 @@ class Simulation:
         # running summary: the last boundary seen, the last with |e_eta| > 0.05
         self._k_last = self._k_bad = -1
         self._max_res = self._max_res_armed = 0.0
-        self._win = 0  # fault windows opened; window w runs from event w-1
-        self._win_starts = (*(ev.time for ev in self._events), math.inf)
-        self._win_above = [None] * len(self._win_starts)  # last k above threshold
+        self._win_above = [None] * (len(self._events) + 1)  # last k above, per window
         self._refresh_allocation()
 
     @property
@@ -377,6 +376,7 @@ class Simulation:
             ev = self._events[self._event_idx]
             self.bank.w_true[ev.thruster - 1] = ev.weight
             self._refresh_thrust()
+            self._event_k.append(self.k)
             self._event_idx += 1
         # time only moves forward; same tolerance as `TrajectoryPlan.is_joint`
         joints, j = self._joints, self._joint_idx
@@ -406,17 +406,16 @@ class Simulation:
             self._max_res = res
         if st.armed and res > self._max_res_armed:
             self._max_res_armed = res
-        w = self._win
-        while t >= self._win_starts[w]:  # exact: k * dt >= event time
-            w += 1
-        self._win = w
         if res > st.threshold:
-            self._win_above[w] = k
+            self._win_above[self._event_idx] = k
         if not want_row:
             return None, c
         g1, g2 = self._g1, self._g2
-        v2 = 0.5 * (g1[0] * c[6] ** 2 + g1[1] * c[7] ** 2 + g1[2] * c[8] ** 2
-                    + g2[0] * c[12] ** 2 + g2[1] * c[13] ** 2 + g2[2] * c[14] ** 2)
+        try:  # float `**` raises where `*` would give inf
+            v2 = 0.5 * (g1[0] * c[6] ** 2 + g1[1] * c[7] ** 2 + g1[2] * c[8] ** 2
+                        + g2[0] * c[12] ** 2 + g2[1] * c[13] ** 2 + g2[2] * c[14] ** 2)
+        except OverflowError:
+            v2 = math.inf
         row = (t, *s, ref[0], ref[1], wrap_angle(ref[2]),
                c[6], c[7], c[8],
                st.residual, st.threshold,
@@ -483,21 +482,20 @@ class Simulation:
         # convergence time: |e_eta| stays within 0.05 from t_c onward
         t_c = 0.0 if bad < 0 else None if bad == last else (bad + 1) * dt
 
+        # window j: from the step where event j acted to event j+1's, or the end
         events = []
-        ev_list = self._events
-        for j, ev in enumerate(ev_list):
-            t_next = ev_list[j + 1].time if j + 1 < len(ev_list) else last * dt + dt
-            rises = [tt for tt, rising in st.trigger_log
-                     if rising and ev.time <= tt < t_next]
-            idents = [(tt, num) for tt, num in st.identified_log
-                      if ev.time <= tt < t_next]
-            k_above = self._win_above[j + 1]
-            if k_above is None:
-                reconv = ev.time
-            elif k_above * dt >= t_next - 2 * dt:
-                reconv = None
-            else:
-                reconv = k_above * dt + dt
+        bounds = (*self._event_k, last + 1)
+        for j, ev in enumerate(self._events):
+            rises, idents, reconv = [], [], None
+            if j < len(self._event_k):
+                t0, t_next = bounds[j] * dt, bounds[j + 1] * dt
+                rises = [tt for tt, rising in st.trigger_log
+                         if rising and t0 <= tt < t_next]
+                idents = [(tt, num) for tt, num in st.identified_log
+                          if t0 <= tt < t_next]
+                k_above = self._win_above[j + 1]  # None: never above threshold
+                reconv = (ev.time if k_above is None else None
+                          if k_above >= bounds[j + 1] - 2 else k_above * dt + dt)
             detected_at = rises[0] if rises else None
             events.append({
                 "time": ev.time,

@@ -49,6 +49,7 @@ def outside_hold_windows(t, joints, hold):
     return mask
 
 
+@pytest.mark.slow
 def test_01_baseline_tracking(baseline):
     sc = load_scenario("fig3_baseline")
     assert sc.fdi.c2 + sc.fdi.f_smooth == pytest.approx(THRESHOLD)
@@ -156,6 +157,7 @@ def test_04_deficit_sign_oracle():
            + (f"; disagreements: {bad}" if bad else ""))
 
 
+@pytest.mark.slow
 def test_05_identification_correctness():
     results = []
     for thruster in range(1, 5):
@@ -178,6 +180,7 @@ def test_05_identification_correctness():
            + (f"; failures: {bad}" if bad else ""))
 
 
+@pytest.mark.slow
 def test_06_reconfiguration_convergence(sequential):
     sc = load_scenario("fig6_sequential")
     assert sc.fdi.t_s == 5.0 and sc.fdi.delta_w == 0.05
@@ -194,6 +197,7 @@ def test_06_reconfiguration_convergence(sequential):
            + (f"; failures: {bad}" if bad else ""))
 
 
+@pytest.mark.slow
 def test_07_failure_tolerance(failure):
     s = failure.summary
     ok_state = np.allclose(s["final_w_true"], [0.3, 0.0, 0.2, 0.1])
@@ -210,6 +214,7 @@ def test_07_failure_tolerance(failure):
            f"{THRESHOLD} on three effective thrusters")
 
 
+@pytest.mark.slow
 def test_08_update_period_stress(ts_stress):
     s = ts_stress.summary
     flagged = s["reconfiguration_failures"]
@@ -246,6 +251,7 @@ def test_09_allocation_round_trip(geom, rng):
            f"{worst:.3e} < 1e-9")
 
 
+@pytest.mark.slow
 def test_10_determinism_and_order(tmp_path):
     runs = []
     for k in range(2):

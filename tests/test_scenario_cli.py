@@ -209,8 +209,13 @@ class TestOverrides:
         assert sc.fdi.t_s == 4.0
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ScenarioError, match="no such config key"):
+        with pytest.raises(ScenarioError, match="unknown keys"):
             load_scenario("fig6_sequential", overrides=["fdi.bogus=1"])
+
+    def test_mapping_value_merges_into_section(self):
+        # the file's t_s (8.0, not the default 5.0) stays in force
+        sc = load_scenario("fig7_failure", ["fdi={delta_w: 0.1}"])
+        assert (sc.fdi.delta_w, sc.fdi.t_s) == (0.1, 8.0)
 
     def test_malformed_rejected(self):
         with pytest.raises(ScenarioError, match="key=value"):
@@ -393,6 +398,28 @@ class TestCli:
         text = (tmp_path / "out" / "short.csv").read_text()
         assert "# aborted" in text
 
+    def test_unreached_fault_is_a_reconfiguration_failure(self, tmp_path,
+                                                            capsys):
+        # diverges at t = 0.01 s, long before the fault at t = 100 s
+        assert main(["run", "fault_thruster2", "--out", str(tmp_path),
+                     "--override", "sim.initial_state=[2.0e6,0,0,0,0,0]"]) == 3
+        text = (tmp_path / "fault_thruster2_summary.txt").read_text()
+        assert "RECONFIGURATION FAILURES at: [100.0]" in text
+        assert "re-settled" not in text
+
+    @pytest.mark.parametrize("override", [
+        "gains.a1=[1e300,1,1]", "trajectory.initial_pose=[1e308,0,0]",
+        "sim.initial_state=[0,0,0,0,0,1e300]"])
+    def test_overflowing_error_energy_is_no_crash(self, tmp_path, capsys,
+                                                  override):
+        extra = ["--override", override, "--override", "sim.duration=2.0"]
+        assert main(["validate", "fig3_baseline", *extra]) == 0
+        assert "valid" in capsys.readouterr().out
+        for cmd in ("run", "batch"):
+            assert main([cmd, "fig3_baseline", "--out", str(tmp_path / cmd),
+                         *extra]) in (0, 3)
+            assert "Traceback" not in capsys.readouterr().err
+
     def test_empty_batch(self, tmp_path, capsys):
         assert main(["batch", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
@@ -523,6 +550,22 @@ class TestCli:
         for err in self.rejected_by_every_command(
                 "fig3_baseline", tmp_path, capsys, "--override", override):
             assert "rank deficient" in err
+
+    @pytest.mark.parametrize("override", [
+        "fdi.bogus=1", "bogus.x=1", "faults.x=1", "name=x",
+        "trajectory.segments.0=1", "=5", "fdi=3", "fdi.t_s.x=1"])
+    def test_override_outside_schema_rejected(self, tmp_path, capsys,
+                                              override):
+        self.rejected_by_every_command("fault_thruster2", tmp_path, capsys,
+                                       "--override", override)
+
+    @pytest.mark.parametrize("fdi", [5, None])
+    def test_override_does_not_hide_malformed_section(self, tmp_path, capsys,
+                                                      fdi):
+        path = write_scenario(tmp_path, fdi=fdi)
+        for err in self.rejected_by_every_command(
+                path, tmp_path, capsys, "--override", "fdi.t_s=4"):
+            assert f"fdi: expected a mapping, got {fdi!r}" in err
 
     def test_undecodable_file_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

@@ -9,6 +9,7 @@ from rovftc.allocation import achieved_wrench, allocate
 from rovftc.controller import control_law, error_rate, tracking_errors
 from rovftc.scenario import load_scenario, scenario_from_dict
 from rovftc.simulation import COLUMNS, FaultSchedule, Simulation
+from rovftc.trajectory import TIME_TOL
 from rovftc.vehicle import VehicleState, dynamics_rhs, kinematics_rhs
 
 HALF_PI = math.pi / 2
@@ -79,8 +80,11 @@ def oracle_summary(residual, threshold, enorm, dt, events):
         t_c = float(times[bad[-1] + 1])
     reconverged = []
     for j, ev in enumerate(events):
-        t_next = events[j + 1].time if j + 1 < len(events) else times[-1] + dt
-        win_above = np.flatnonzero((times >= ev.time) & (times < t_next) & above)
+        # each window opens at the step where its fault acts on the plant
+        t_next = (events[j + 1].time if j + 1 < len(events)
+                  else times[-1] + dt) - TIME_TOL
+        win_above = np.flatnonzero((times >= ev.time - TIME_TOL)
+                                   & (times < t_next) & above)
         if win_above.size == 0:
             reconverged.append(float(ev.time))
         elif times[win_above[-1]] >= t_next - 2 * dt:
