@@ -57,16 +57,17 @@ def _run_one(scenario: Scenario, out_dir: Path, overrides):
     csv_path = out_dir / f"{scenario.name}.csv"
     summary_path = out_dir / f"{scenario.name}_summary.txt"
     result.write_csv(csv_path)
+    text = format_summary(result.summary, overrides)
     with open(summary_path, "w") as fh:
-        fh.write(format_summary(result.summary, overrides))
-    return result, csv_path, summary_path
+        fh.write(text)
+    return result, text, csv_path, summary_path
 
 
 def _run_member(out_dir: Path, overrides, scenario: Scenario):
     """Batch pool worker: run one member and write its files. Returns
     (summary, diverged), or the OSError that stopped it."""
     try:
-        result, _, _ = _run_one(scenario, out_dir, overrides)
+        result, *_ = _run_one(scenario, out_dir, overrides)
     except OSError as exc:
         return exc
     return result.summary, result.diverged
@@ -74,7 +75,7 @@ def _run_member(out_dir: Path, overrides, scenario: Scenario):
 
 def _cmd_run(args) -> int:
     try:
-        result, csv_path, summary_path = _run_one(
+        result, text, csv_path, summary_path = _run_one(
             load_scenario(args.scenario, args.override), Path(args.out),
             args.override)
     except ScenarioError as exc:
@@ -83,7 +84,7 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(format_summary(result.summary, args.override), end="")
+    print(text, end="")
     print(f"wrote {csv_path} and {summary_path}")
     if result.diverged:
         print(f"error: simulation diverged at t={result.diverged_time:.4g} s "

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .trajectory import TIME_TOL
 from .vehicle import ThrusterGeometry
 
 
@@ -155,7 +156,10 @@ class FdiEngine:
     the threshold, so the start-up transient never trips it; after a
     handled fault the falling trigger edge re-arms the loop for the next
     one. The weight of the isolated thruster is stepped down every t_s
-    seconds while the trigger holds.
+    seconds while the trigger holds: at the sample where the summed dt
+    reaches t_s within TIME_TOL. The float sum stays that close to a whole
+    number of samples up to t_s of about 1 259 s at dt = 0.01 (335 s at
+    dt = 0.001).
     """
 
     def __init__(self, cfg: FdiConfig, geom: ThrusterGeometry):
@@ -208,7 +212,7 @@ class FdiEngine:
             st.identified_log.append((t, st.fault_num))
 
         st.w_time += dt
-        if st.w_time >= cfg.t_s - 1e-12:
+        if st.w_time >= cfg.t_s - TIME_TOL:
             st.w_time = 0.0
             return st.fault_num
         return None

@@ -206,11 +206,7 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
 def scenario_from_dict(config: dict, name: str = "scenario") -> Scenario:
     name = _file_name(name)
     defaults = _defaults()
-    unknown = sorted(set(_mapping(config, "scenario")) - set(defaults))
-    if unknown:
-        raise ScenarioError(f"unknown sections {unknown}; allowed: "
-                            f"{', '.join(defaults)}")
-    cfg = _merge(defaults, config)
+    cfg = _merge(defaults, _mapping(config, "scenario", defaults))
     veh, g, fdi_cfg, sim = (_section(cfg[key], key, defaults[key])
                             for key in ("vehicle", "gains", "fdi", "sim"))
     traj = _mapping(cfg["trajectory"], "trajectory", defaults["trajectory"])

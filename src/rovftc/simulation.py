@@ -1,11 +1,14 @@
 """Deterministic fixed-step closed-loop simulation.
 
-One control cycle per step: apply fault events that have come due, take
-the controller/allocation snapshot at the step start, run the
-detection/identification/reconfiguration loop on it, then integrate the
-vehicle over the step with classic fourth-order Runge-Kutta. The feedback
-law is evaluated inside every integration stage, so on smooth segments
-the global error scales with dt^4.
+One control cycle per step, shared by `step()` and `run()`: apply the
+fault events and flag the segment joints that have come due (each at the
+first step at or after its time, within TIME_TOL), take the
+controller/allocation snapshot at the step start, run the
+detection/identification/reconfiguration loop on it, then, unless the
+step ends the run, integrate the vehicle over it with classic
+fourth-order Runge-Kutta. The step that leaves the divergence limits is
+the last. The feedback law is evaluated inside every integration stage,
+so on smooth segments the global error scales with dt^4.
 
 The inner loop is written with unrolled scalar arithmetic; the matrix
 form of every formula lives in `vehicle`, `controller` and `allocation`,
@@ -124,6 +127,9 @@ class Scenario:
             raise ValueError("duration must be positive and finite")
         if self.decimation < 1:
             raise ValueError("decimation must be at least 1")
+        if self.bank.w_min != self.fdi.w_min:  # an estimate at the floor is failed
+            raise ValueError(f"thruster floor w_min = {self.bank.w_min} is not "
+                             f"fdi.w_min = {self.fdi.w_min}")
         if self.fdi.t_s < self.dt:
             # the engine adds dt per sample, so a shorter period would
             # decrement the weight estimate every step
@@ -300,7 +306,7 @@ class Simulation:
         s0 = [float(x) for x in scenario.initial_state]
         s0[2] = wrap_angle(s0[2])
         self._s = tuple(s0)  # (x, y, psi, u, v, r), psi wrapped
-        self.diverged = False
+        self.diverged_time = None  # set by the step that leaves the limits
         self.saturation_steps = 0
         self._event_idx = 0  # events applied; also the open fault window
         self._events = scenario.schedule.events
@@ -309,38 +315,28 @@ class Simulation:
         self._joints = (*self.plan.joint_times, math.inf)  # inf: no more joints
         self._g1 = _table(self.gains.gamma1)
         self._g2 = _table(self.gains.gamma2)
-        # running summary: the last boundary seen, the last with |e_eta| > 0.05
-        self._k_last = self._k_bad = -1
+        self._k_bad = -1  # running summary: last boundary with |e_eta| > 0.05
         self._max_res = self._max_res_armed = 0.0
         self._win_above = [None] * (len(self._events) + 1)  # last k above, per window
-        self._refresh_allocation()
+        self._rebind()
 
     @property
     def state(self) -> np.ndarray:
         """Current (x, y, psi, u, v, r) as a fresh array."""
         return np.array(self._s)
 
-    # -- tables -----------------------------------------------------------
-
-    def _refresh_allocation(self):
-        """Rebuild the wrench-to-command rows; called whenever the weight
-        estimates (and hence the excluded set) change."""
-        active = ~self.bank.failed_mask()
-        dist = _distribution_matrix(self.geom, active)
-        rows = dist / np.where(active, self.bank.K * self.bank.w_hat, 1.0)[:, None]
-        rows[~active, :] = 0.0
-        self._alloc = _table(rows)
-        self._refresh_thrust()
-
-    def _refresh_thrust(self):
-        """Rebind the control closure and the recorded weights to the
-        current true weights, estimates and allocation rows."""
-        bank = self.bank
-        self._control = _control_fn(self.params, self.gains, self.geom, bank,
-                                    self._alloc)
-        self._weights = tuple(bank.w_true.tolist() + bank.w_hat.tolist())
-
     # -- per-step work ----------------------------------------------------
+
+    def _rebind(self):
+        """Rebind the control closure and the recorded weights to the true
+        weights and estimates, with allocation rows for the active set."""
+        bank = self.bank
+        active = ~bank.failed_mask()
+        rows = (_distribution_matrix(self.geom, active)
+                / np.where(active, bank.K * bank.w_hat, 1.0)[:, None])
+        self._control = _control_fn(self.params, self.gains, self.geom, bank,
+                                    _table(rows))
+        self._weights = tuple(bank.w_true.tolist() + bank.w_hat.tolist())
 
     def _integrate(self, t: float, s: tuple, c: tuple) -> tuple:
         """One RK4 step from (t, s); `c` is the full control snapshot at
@@ -375,30 +371,28 @@ class Simulation:
                and self._events[self._event_idx].time <= t + TIME_TOL):
             ev = self._events[self._event_idx]
             self.bank.w_true[ev.thruster - 1] = ev.weight
-            self._refresh_thrust()
+            self._rebind()
             self._event_k.append(self.k)
             self._event_idx += 1
-        # time only moves forward; same tolerance as `TrajectoryPlan.is_joint`
-        joints, j = self._joints, self._joint_idx
-        while t - joints[j] > TIME_TOL:
-            j += 1
-        self._joint_idx = j
+        # a joint, like an event, acts at the first step at or after it
+        j = self._joint_idx
+        while self._joints[self._joint_idx] <= t + TIME_TOL:
+            self._joint_idx += 1
 
         s = self._s
         ref = self.plan.sample_flat(t)
         c = self._control(s, ref)
         due = self.engine.update(t, self.dt, c[6:9], c[9:12], c[15:19], s[2],
-                                 abs(t - joints[j]) > TIME_TOL)
+                                 j == self._joint_idx)
         if due is not None:
             self.bank.w_hat = reconfigure_step(self.bank.w_hat, due,
                                                self.engine.cfg)
-            self._refresh_allocation()
+            self._rebind()
             c = self._control(s, ref)  # commands the plant will now receive
         if c[25]:
             self.saturation_steps += 1
 
-        st = self.engine.state
-        k = self._k_last = self.k
+        st, k = self.engine.state, self.k
         res = st.residual
         if math.sqrt(c[6] * c[6] + c[7] * c[7] + c[8] * c[8]) > 0.05:
             self._k_bad = k
@@ -426,59 +420,53 @@ class Simulation:
                v2)
         return row, c
 
-    def _advance(self, t: float, c: tuple):
-        """Integrate one step from t, given the boundary snapshot `c`, and
-        enforce the state invariants."""
-        nxt = self._integrate(t, self._s, c)
-        for x in nxt:
-            if not (-DIVERGENCE_LIMIT <= x <= DIVERGENCE_LIMIT):  # catches NaN
-                self.diverged = True
-                break
-        else:
-            self._s = (nxt[0], nxt[1], wrap_angle(nxt[2]), nxt[3], nxt[4], nxt[5])
-        self.k += 1
+    def _cycle(self, want_row: bool = True):
+        """The boundary at step k, then, unless k ends the run, one RK4
+        step and the divergence check; returns the boundary's row or None."""
+        k = self.k
+        t = k * self.dt
+        row, c = self._boundary(t, want_row)
+        if k < self.n_steps:
+            s = self._integrate(t, self._s, c)
+            for x in s:
+                if not (-DIVERGENCE_LIMIT <= x <= DIVERGENCE_LIMIT):  # catches NaN
+                    self.diverged_time = (k + 1) * self.dt
+                    break
+            else:
+                self._s = (s[0], s[1], wrap_angle(s[2]), s[3], s[4], s[5])
+        self.k = k + 1
+        return row
 
     def step(self) -> tuple:
         """One full control cycle; returns the record row at the step
-        start. Raises past the end of the run."""
-        if self.k >= self.n_steps:
-            raise RuntimeError("simulation already at the end of the run")
-        t = self.k * self.dt
-        row, c = self._boundary(t)
-        self._advance(t, c)
-        return row
+        start. Raises past the end of the run or after divergence."""
+        if self.k >= self.n_steps or self.diverged_time is not None:
+            raise RuntimeError("no step left: the run has ended or diverged")
+        return self._cycle()
 
     def run(self) -> SimResult:
+        """Cycle through the end of the run, keeping every `decimation`-th row."""
         sc = self.scenario
         rows = array("d")  # the kept rows, flat; numpy views the buffer
         started = time.perf_counter()
-        diverged_time = None
-        while self.k <= self.n_steps:
-            t = self.k * self.dt
-            row, c = self._boundary(t, want_row=(self.k % sc.decimation == 0))
+        while self.k <= self.n_steps and self.diverged_time is None:
+            row = self._cycle(self.k % sc.decimation == 0)
             if row is not None:
                 rows.extend(row)
-            if self.k == self.n_steps:
-                break
-            self._advance(t, c)
-            if self.diverged:
-                diverged_time = self.k * self.dt
-                break
-        runtime = time.perf_counter() - started
-        summary = self._build_summary(runtime, diverged_time)
+        summary = self._build_summary(time.perf_counter() - started)
         return SimResult(sc.name, COLUMNS,
-                         np.frombuffer(rows).reshape(-1, len(COLUMNS)),
-                         summary, self.diverged, diverged_time)
+                         np.frombuffer(rows).reshape(-1, len(COLUMNS)), summary,
+                         self.diverged_time is not None, self.diverged_time)
 
     # -- summary ----------------------------------------------------------
 
-    def _build_summary(self, runtime, diverged_time) -> dict:
+    def _build_summary(self, runtime) -> dict:
         """The summary of every boundary seen so far, from the running
         values; step k starts at k * dt."""
         sc = self.scenario
         dt = self.dt
         st = self.engine.state
-        last, bad = self._k_last, self._k_bad
+        last, bad = self.k - 1, self._k_bad  # the last boundary seen
         # convergence time: |e_eta| stays within 0.05 from t_c onward
         t_c = 0.0 if bad < 0 else None if bad == last else (bad + 1) * dt
 
@@ -517,8 +505,8 @@ class Simulation:
             "dt": dt,
             "steps": self.n_steps,
             "runtime_s": runtime,
-            "diverged": self.diverged,
-            "diverged_time": diverged_time,
+            "diverged": self.diverged_time is not None,
+            "diverged_time": self.diverged_time,
             "t_c": t_c,
             "max_residual": self._max_res,
             "max_residual_after_arming": self._max_res_armed,

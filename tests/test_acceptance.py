@@ -143,7 +143,7 @@ def test_04_deficit_sign_oracle():
                                                heading, sc.geometry, sc.fdi)
                 assert 0 not in pattern, "combo must meet dead-band conditions"
                 sim.bank.w_true[thruster - 1] = 0.8
-                sim._refresh_thrust()
+                sim._rebind()
                 sim.step()
                 c2 = sim._control(tuple(sim.state), sc.plan.sample_flat(sc.dt))
                 e_dot = np.array(c2[9:12])

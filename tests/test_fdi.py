@@ -257,6 +257,14 @@ class TestEngine:
         gap = updates[1][0] - updates[0][0]
         assert gap == pytest.approx(fdi_cfg.t_s, abs=0.02)
 
+    def test_decrement_period_in_whole_samples(self, fdi_cfg, geom):
+        # 5 000 additions of 0.01 fall 1.4e-12 short of 50.0
+        engine = FdiEngine(dataclasses.replace(fdi_cfg, t_s=50.0), geom)
+        drive(engine, [self.quiet(0.0)])
+        due = [k for k in range(1, 10_200) if drive(engine, [self.faulted(0.01 * k)])]
+        assert len(due) == 2
+        assert due[1] - due[0] == 5000
+
     def test_falling_edge_rearms(self, fdi_cfg, geom):
         engine = FdiEngine(fdi_cfg, geom)
         drive(engine, [self.quiet(0.0)])

@@ -88,9 +88,9 @@ class TestValidation:
     def test_unknown_section_rejected(self, tmp_path):
         path = write_scenario(tmp_path, thrust={"K": [1, 1, 1, 1]})
         issues = validate_scenario(str(path))
-        assert issues and "unknown sections" in issues[0]
+        assert issues and "unknown keys" in issues[0]
         # the library entry point checks section names too
-        with pytest.raises(ScenarioError, match="unknown sections"):
+        with pytest.raises(ScenarioError, match="unknown keys"):
             scenario_from_dict({"fualts": [
                 {"time": 60.0, "thruster": 1, "weight": 0.5}]})
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -7,6 +8,7 @@ import pytest
 
 from rovftc.allocation import achieved_wrench, allocate
 from rovftc.controller import control_law, error_rate, tracking_errors
+from rovftc.fdi import detection_threshold
 from rovftc.scenario import load_scenario, scenario_from_dict
 from rovftc.simulation import COLUMNS, FaultSchedule, Simulation
 from rovftc.trajectory import TIME_TOL
@@ -157,6 +159,17 @@ class TestFaultSchedule:
         assert np.allclose(sim.bank.w_true, 1.0)
 
 
+def test_weight_floors_must_agree():
+    # a thruster counts as failed at the bank's floor; an estimate clamped
+    # at a higher fdi floor would never get there
+    sc = load_scenario("fig7_failure", [
+        "faults=[{time: 100.0, thruster: 2, weight: 0.0}]", "sim.duration=270.0"])
+    with pytest.raises(ValueError, match="w_min"):
+        dataclasses.replace(sc, fdi=dataclasses.replace(sc.fdi, w_min=0.1))
+    both = load_scenario("fig7_failure", ["fdi.w_min=0.1"])
+    assert both.bank.w_min == both.fdi.w_min == 0.1
+
+
 def test_setup_calls_no_eigen_or_svd_routine(monkeypatch):
     """Loading a scenario, building the simulation and a full-bank
     allocation rebuild decide definiteness and rank in closed form, and
@@ -174,7 +187,7 @@ def test_setup_calls_no_eigen_or_svd_routine(monkeypatch):
     assert not sim.bank.failed_mask().any()
     for module in modules:
         monkeypatch.setattr(module, "inv", refuse)
-    sim._refresh_allocation()
+    sim._rebind()
     sim.step()
 
 
@@ -200,8 +213,7 @@ class TestStep:
             s = tuple(rng.normal(0, 1, 6) * np.array([20, 200, 2, 1, 1, 0.5]))
             sim.bank.w_hat = rng.uniform(0.1, 1.0, 4)
             sim.bank.w_true = rng.uniform(0.0, 1.0, 4)
-            sim._refresh_allocation()
-            sim._refresh_thrust()
+            sim._rebind()
 
             state = VehicleState(*s)
             ref = sc.plan.sample(t)
@@ -306,6 +318,28 @@ class TestStep:
         with pytest.raises(RuntimeError):
             sim.step()
 
+    def test_step_after_divergence_raises(self):
+        overrides = ["sim.initial_state=[2.0e6,0,0,0,0,0]", "sim.duration=1.0"]
+        sim = Simulation(load_scenario("fig3_baseline", overrides))
+        sim.step()  # the step from t = 0 leaves the limits
+        with pytest.raises(RuntimeError, match="diverged"):
+            sim.step()
+        stepped = sim.run()
+        plain = Simulation(load_scenario("fig3_baseline", overrides)).run()
+        assert stepped.diverged and stepped.diverged_time == 0.01
+        assert plain.diverged and plain.diverged_time == 0.01
+        assert stepped.summary["diverged_time"] == 0.01
+
+    def test_second_run_repeats_no_boundary(self):
+        sim = Simulation(make_scenario(sim={"duration": 0.5, "decimation": 1}))
+        first = sim.run()
+        second = sim.run()
+        assert first.rows.shape[0] == sim.n_steps + 1
+        assert second.rows.shape[0] == 0
+        first.summary.pop("runtime_s")
+        second.summary.pop("runtime_s")
+        assert second.summary == first.summary
+
 
 class TestRun:
     def test_row_layout(self):
@@ -345,6 +379,20 @@ class TestRun:
         w3 = res.column("W3")
         assert w3[np.searchsorted(t, 60.00)] == 1.0
         assert w3[np.searchsorted(t, 60.01)] == 0.4
+
+    def test_joint_between_steps_opens_hold_window(self):
+        # like a fault event, the joint at 300.005 s acts at 300.01 s
+        straight = ("{mode: straight, duration: 300.005, speed: 1.0, "
+                    "heading: 1.5707963267948966}")
+        sc = load_scenario("fig3_baseline", [
+            f"trajectory.segments=[{straight}, "
+            "{mode: turn, duration: 100.0, speed: 1.0, yaw_rate: 0.05}]",
+            "sim.duration=350.0", "sim.decimation=1"])
+        res = Simulation(sc).run()
+        widened = np.flatnonzero(res.column("threshold")
+                                 == detection_threshold(sc.fdi, False))
+        assert np.array_equal(widened, np.arange(30001, 31002))  # 1 001 steps
+        assert res.column("t")[widened[0]] == pytest.approx(300.01)
 
     def test_summary_shape(self):
         sc = make_scenario(sim={"duration": 2.0})
