@@ -54,14 +54,12 @@ class ControllerGains:
 
 
 class ReferenceSample(NamedTuple):
-    """Reference pose, velocity and acceleration at one instant. `smooth`
-    is False exactly at segment joints, where only right-limit derivatives
-    exist."""
+    """Reference pose, velocity and acceleration at one instant; at a
+    segment joint, the derivatives are right limits."""
 
     eta_d: np.ndarray
     eta_d_dot: np.ndarray
     eta_d_ddot: np.ndarray
-    smooth: bool = True
 
 
 class TrackingErrors(NamedTuple):

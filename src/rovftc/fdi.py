@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .trajectory import TIME_TOL
 from .vehicle import ThrusterGeometry
 
 
@@ -35,10 +34,10 @@ class FdiConfig:
     c2: float = 0.01         # base threshold, m
     f_smooth: float = 0.3    # threshold margin for reference smoothness
     joint_widen: float = 0.3  # extra margin inside a joint hold window
-    joint_hold: float = 10.0  # hold-window length after a joint, s
+    joint_hold: float = 10.0  # hold-window length after a joint, s (whole steps)
     delta1: float = 0.002    # position-rate sign threshold, m/s
     delta2: float = 0.01     # yaw-rate sign threshold, rad/s
-    t_s: float = 5.0         # weight update period, s
+    t_s: float = 5.0         # weight update period, s (whole steps)
     delta_w: float = 0.05    # weight decrement per update
     eps_u: float = 0.005     # command dead-band for sign prediction
     eps_g: float = 0.1       # geometric-factor dead-band
@@ -67,7 +66,7 @@ class FdiState:
     armed: bool = False          # detection enabled once tracking has settled
     b_trig: bool = False
     fault_num: int | None = None  # identified thruster, 1-based
-    w_time: float = 0.0          # time since identification / last update
+    w_samples: int = 0           # samples since identification / last update
     residual: float = 0.0
     threshold: float = 0.0
     consec_above: int = 0
@@ -84,15 +83,12 @@ def residual(e_eta, c1: float) -> float:
     return math.sqrt(ex * ex + ey * ey + c1 * ep * ep)
 
 
-def detection_threshold(cfg: FdiConfig, smooth: bool,
-                        in_hold_window: bool = False) -> float:
-    """Base threshold plus the smoothness margin; widened at a segment
-    joint (`smooth` False) and inside the hold window that follows one,
-    where the reference itself makes the pose error spike."""
+def detection_threshold(cfg: FdiConfig, in_hold_window: bool = False) -> float:
+    """Base threshold plus the smoothness margin; widened inside the hold
+    window that a segment joint opens, where the reference itself makes
+    the pose error spike."""
     value = cfg.c2 + cfg.f_smooth
-    if in_hold_window or not smooth:
-        value += cfg.joint_widen
-    return value
+    return value + cfg.joint_widen if in_hold_window else value
 
 
 def predict_sign_pattern(thruster: int, u_i: float, psi: float,
@@ -155,31 +151,31 @@ class FdiEngine:
     Detection is enabled only after the residual has first settled below
     the threshold, so the start-up transient never trips it; after a
     handled fault the falling trigger edge re-arms the loop for the next
-    one. The weight of the isolated thruster is stepped down every t_s
-    seconds while the trigger holds: at the sample where the summed dt
-    reaches t_s within TIME_TOL. The float sum stays that close to a whole
-    number of samples up to t_s of about 1 259 s at dt = 0.01 (335 s at
-    dt = 0.001).
+    one. It counts samples, not seconds: the weight of the isolated
+    thruster is stepped down every `period` samples (t_s / dt) while the
+    trigger holds, and a joint sample opens a hold window of itself and
+    `hold` more samples (joint_hold / dt).
     """
 
-    def __init__(self, cfg: FdiConfig, geom: ThrusterGeometry):
+    def __init__(self, cfg: FdiConfig, geom: ThrusterGeometry,
+                 period: int, hold: int):
         self.cfg = cfg
         self.geom = geom
+        self.period, self.hold = period, hold
         self.state = FdiState()
-        self._hold_until = -math.inf
+        self._hold_left = -1  # hold-window samples after this one; < 0: closed
 
-    def update(self, t: float, dt: float, e_eta, e_eta_dot, u_cmd,
-               psi: float, smooth: bool) -> int | None:
-        """Advance one sample; `smooth` is the reference's smoothness flag
-        at t (False at a segment joint). Returns the thruster index
-        (1-based) whose weight estimate is due for a decrement, else None.
-        The caller owns the estimates and applies `reconfigure_step`."""
+    def update(self, t: float, e_eta, e_eta_dot, u_cmd, psi: float,
+               joint: bool) -> int | None:
+        """Advance one sample, taken at time t; `joint` marks the sample at
+        which a segment joint acts. Returns the thruster index (1-based)
+        whose weight estimate is due for a decrement, else None. The
+        caller owns the estimates and applies `reconfigure_step`."""
         cfg, st = self.cfg, self.state
-        if not smooth:
-            self._hold_until = t + cfg.joint_hold
-        in_hold = t <= self._hold_until
+        self._hold_left = self.hold if joint else self._hold_left - 1
+        in_hold = self._hold_left >= 0
         st.residual = residual(e_eta, cfg.c1)
-        st.threshold = detection_threshold(cfg, smooth, in_hold_window=in_hold)
+        st.threshold = detection_threshold(cfg, in_hold)
         above = st.residual > st.threshold  # exactly at the threshold stays quiet
 
         if not st.armed:
@@ -191,7 +187,6 @@ class FdiEngine:
             st.consec_above = st.consec_above + 1 if above else 0
             if st.consec_above >= cfg.n_consec:
                 st.b_trig = True
-                st.w_time = 0.0
                 st.trigger_log.append((t, True))
             return None
 
@@ -200,7 +195,7 @@ class FdiEngine:
             # falling edge: re-arm for the next sequential fault
             st.b_trig = False
             st.fault_num = None
-            st.w_time = 0.0
+            st.w_samples = 0
             st.consec_above = 0
             st.trigger_log.append((t, False))
             return None
@@ -211,8 +206,8 @@ class FdiEngine:
                 return None  # unresolved: retry on the next sample
             st.identified_log.append((t, st.fault_num))
 
-        st.w_time += dt
-        if st.w_time >= cfg.t_s - TIME_TOL:
-            st.w_time = 0.0
+        st.w_samples += 1
+        if st.w_samples >= self.period:
+            st.w_samples = 0
             return st.fault_num
         return None

@@ -1,14 +1,17 @@
 """Deterministic fixed-step closed-loop simulation.
 
-One control cycle per step, shared by `step()` and `run()`: apply the
-fault events and flag the segment joints that have come due (each at the
-first step at or after its time, within TIME_TOL), take the
-controller/allocation snapshot at the step start, run the
-detection/identification/reconfiguration loop on it, then, unless the
-step ends the run, integrate the vehicle over it with classic
-fourth-order Runge-Kutta. The step that leaves the divergence limits is
-the last. The feedback law is evaluated inside every integration stage,
-so on smooth segments the global error scales with dt^4.
+Step k starts at k * dt. `Scenario` turns every schedule into steps at
+load: a fault event or segment joint acts at the first step that starts
+at or after it (`step_index`); the update period and the joint hold
+window are whole numbers of steps. One control cycle per step, shared
+by `step()` and `run()`: apply the fault events and flag the segment
+joints due at the step, take the controller/allocation snapshot at the
+step start, run the detection/identification/reconfiguration loop on
+it, then, unless the step ends the run, integrate the vehicle over it
+with classic fourth-order Runge-Kutta. The step that leaves the
+divergence limits is the last. The feedback law is evaluated inside
+every integration stage, so on smooth segments the global error scales
+with dt^4.
 
 The inner loop is written with unrolled scalar arithmetic; the matrix
 form of every formula lives in `vehicle`, `controller` and `allocation`,
@@ -37,11 +40,15 @@ import numpy as np
 from .allocation import _distribution_matrix
 from .controller import ControllerGains
 from .fdi import FdiConfig, FdiEngine, reconfigure_step
-from .trajectory import TIME_TOL, TrajectoryPlan
+from .trajectory import TrajectoryPlan
 from .vehicle import (TWO_PI, ThrusterBank, ThrusterGeometry, VehicleParams,
                       wrap_angle)
 
 DIVERGENCE_LIMIT = 1e6
+#: times closer than this are one instant (joint, fault event, end of run)
+TIME_TOL = 1e-9
+#: past this many steps, k * dt no longer tells steps apart; no run gets there
+MAX_STEPS = 2 ** 53
 
 #: CSV column order; stable contract for downstream consumers.
 COLUMNS = (
@@ -103,6 +110,16 @@ class FaultSchedule:
             prev_time = ev.time
 
 
+def step_index(t: float, dt: float) -> int:
+    """The step at which the instant t acts: the smallest k >= 0 with
+    t <= k * dt + TIME_TOL, or MAX_STEPS + 1 past MAX_STEPS steps."""
+    # float rounding puts the answer within one step of this k
+    k = max(0, math.ceil(min((t - TIME_TOL) / dt, MAX_STEPS)))
+    if k and t <= (k - 1) * dt + TIME_TOL:
+        return k - 1
+    return k if t <= k * dt + TIME_TOL else k + 1
+
+
 @dataclass
 class Scenario:
     """Everything one closed-loop run needs."""
@@ -119,6 +136,12 @@ class Scenario:
     duration: float = 600.0
     decimation: int = 10
     initial_state: np.ndarray = None
+    # in steps, from the fields above; the last step starts at (n_steps - 1) * dt
+    n_steps: int = field(init=False)
+    update_steps: int = field(init=False)   # fdi.t_s
+    hold_steps: int = field(init=False)     # fdi.joint_hold
+    event_steps: tuple = field(init=False)  # where each fault event acts
+    joint_steps: tuple = field(init=False)  # where each segment joint acts
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -130,34 +153,31 @@ class Scenario:
         if self.bank.w_min != self.fdi.w_min:  # an estimate at the floor is failed
             raise ValueError(f"thruster floor w_min = {self.bank.w_min} is not "
                              f"fdi.w_min = {self.fdi.w_min}")
-        if self.fdi.t_s < self.dt:
-            # the engine adds dt per sample, so a shorter period would
-            # decrement the weight estimate every step
-            raise ValueError(f"fdi.t_s = {self.fdi.t_s} s is shorter than "
-                             f"one step (dt = {self.dt} s)")
-        if self.n_steps < 1:
-            raise ValueError(f"duration {self.duration} s is shorter than one "
-                             f"step (dt = {self.dt} s)")
-        events = self.schedule.events
-        last = (self.n_steps - 1) * self.dt  # start of the last step
-        if events and events[-1].time > last + TIME_TOL:
+        dt, events = self.dt, self.schedule.events
+        spans = {"duration": self.duration, "fdi.t_s": self.fdi.t_s,
+                 "fdi.joint_hold": self.fdi.joint_hold}
+        steps = {key: round(min(span / dt, MAX_STEPS)) for key, span in spans.items()}
+        self.n_steps, self.update_steps, self.hold_steps = steps.values()
+        for key in ("duration", "fdi.t_s"):
+            if steps[key] < 1:
+                raise ValueError(f"{key} = {spans[key]} s is shorter than one "
+                                 f"step (dt = {dt} s)")
+        self.event_steps = tuple(step_index(ev.time, dt) for ev in events)
+        self.joint_steps = tuple(step_index(t, dt) for t in self.plan.joint_times)
+        if events and self.event_steps[-1] >= self.n_steps:
+            last = (self.n_steps - 1) * dt
             raise ValueError(f"fault event at t={events[-1].time}: after the "
                              f"last step starts ({last:.6g} s, end of the run "
                              f"{self.duration} s), so it never acts on the plant")
-        if abs(self.duration - self.n_steps * self.dt) > TIME_TOL:
-            raise ValueError(f"duration {self.duration} s is not a whole number "
-                             f"of steps of dt = {self.dt} s")
+        for key, span in spans.items():
+            if abs(span - steps[key] * dt) > TIME_TOL:
+                raise ValueError(f"{key} = {span} s is not a whole number of "
+                                 f"steps of dt = {dt} s")
         if self.initial_state is None:
             self.initial_state = np.zeros(6)
         self.initial_state = np.asarray(self.initial_state, dtype=float)
         if self.initial_state.shape != (6,):
             raise ValueError("initial_state must have 6 entries")
-
-    @property
-    def n_steps(self) -> int:
-        """Integration steps in the run; the last one starts at
-        (n_steps - 1) * dt."""
-        return round(self.duration / self.dt)
 
 
 @dataclass
@@ -299,7 +319,8 @@ class Simulation:
         self.bank = scenario.bank.copy()
         self.gains = scenario.gains
         self.plan = scenario.plan
-        self.engine = FdiEngine(scenario.fdi, scenario.geometry)
+        self.engine = FdiEngine(scenario.fdi, scenario.geometry,
+                                scenario.update_steps, scenario.hold_steps)
         self.dt = scenario.dt
         self.n_steps = scenario.n_steps
         self.k = 0
@@ -310,9 +331,8 @@ class Simulation:
         self.saturation_steps = 0
         self._event_idx = 0  # events applied; also the open fault window
         self._events = scenario.schedule.events
-        self._event_k = []  # the step at which each applied event acted
-        self._joint_idx = 0  # first joint not yet behind the clock
-        self._joints = (*self.plan.joint_times, math.inf)  # inf: no more joints
+        self._event_steps = (*scenario.event_steps, self.n_steps + 1)  # last: never due
+        self._joint_steps = frozenset(scenario.joint_steps)
         self._g1 = _table(self.gains.gamma1)
         self._g2 = _table(self.gains.gamma2)
         self._k_bad = -1  # running summary: last boundary with |e_eta| > 0.05
@@ -367,23 +387,17 @@ class Simulation:
         summary at the start of step `self.k`, at time t. Returns
         (row-or-None, c), where c is the final full control snapshot: the
         commands the plant receives over the step, and RK4 stage k1."""
-        while (self._event_idx < len(self._events)
-               and self._events[self._event_idx].time <= t + TIME_TOL):
+        while self._event_steps[self._event_idx] <= self.k:
             ev = self._events[self._event_idx]
             self.bank.w_true[ev.thruster - 1] = ev.weight
             self._rebind()
-            self._event_k.append(self.k)
             self._event_idx += 1
-        # a joint, like an event, acts at the first step at or after it
-        j = self._joint_idx
-        while self._joints[self._joint_idx] <= t + TIME_TOL:
-            self._joint_idx += 1
 
         s = self._s
         ref = self.plan.sample_flat(t)
         c = self._control(s, ref)
-        due = self.engine.update(t, self.dt, c[6:9], c[9:12], c[15:19], s[2],
-                                 j == self._joint_idx)
+        due = self.engine.update(t, c[6:9], c[9:12], c[15:19], s[2],
+                                 self.k in self._joint_steps)
         if due is not None:
             self.bank.w_hat = reconfigure_step(self.bank.w_hat, due,
                                                self.engine.cfg)
@@ -472,10 +486,10 @@ class Simulation:
 
         # window j: from the step where event j acted to event j+1's, or the end
         events = []
-        bounds = (*self._event_k, last + 1)
+        bounds = (*self._event_steps[:self._event_idx], last + 1)
         for j, ev in enumerate(self._events):
             rises, idents, reconv = [], [], None
-            if j < len(self._event_k):
+            if j < self._event_idx:
                 t0, t_next = bounds[j] * dt, bounds[j + 1] * dt
                 rises = [tt for tt, rising in st.trigger_log
                          if rising and t0 <= tt < t_next]

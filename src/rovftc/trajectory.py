@@ -1,7 +1,7 @@
 """Piecewise reference trajectories: hold, constant-heading straights, and
 constant-rate turns. Segments chain positionally, so the reference pose is
-continuous wherever the modes allow; derivatives may jump at joints and
-those instants are flagged non-smooth.
+continuous wherever the modes allow; derivatives may jump at joints, where
+the simulation opens the detection threshold's hold window.
 """
 
 from __future__ import annotations
@@ -12,9 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import ReferenceSample
-
-#: times closer than this are one instant (joint, fault event, end of run)
-TIME_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -105,16 +102,11 @@ class TrajectoryPlan:
         return _segment_sample(self.segments[k], self._entry_poses[k],
                                t - self._starts[k])
 
-    def is_joint(self, t: float) -> bool:
-        return any(abs(t - j) <= TIME_TOL for j in self.joint_times)
-
     def sample(self, t: float) -> ReferenceSample:
-        """Reference at time t >= 0; the smooth flag is False exactly at
-        segment joints (within TIME_TOL)."""
+        """Reference at time t >= 0; at a joint, the right limit."""
         if t < 0.0:
             raise ValueError("time must be non-negative")
         xd, yd, psid, vx, vy, rd, ax, ay = self.sample_flat(t)
         return ReferenceSample(np.array([xd, yd, psid]),
                                np.array([vx, vy, rd]),
-                               np.array([ax, ay, 0.0]),
-                               smooth=not self.is_joint(t))
+                               np.array([ax, ay, 0.0]))

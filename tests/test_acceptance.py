@@ -42,10 +42,13 @@ def ts_stress(presets):
     return presets.result("fig10_ts_stress")
 
 
-def outside_hold_windows(t, joints, hold):
-    mask = np.ones_like(t, dtype=bool)
-    for j in joints:
-        mask &= ~((t >= j) & (t <= j + hold))
+def outside_hold_windows(sc, n_rows):
+    """Which of the run's recorded rows lie outside every joint's hold
+    window (the joint step and `hold_steps` more)."""
+    k = np.arange(n_rows) * sc.decimation
+    mask = np.ones(n_rows, dtype=bool)
+    for j in sc.joint_steps:
+        mask &= ~((k >= j) & (k <= j + sc.hold_steps))
     return mask
 
 
@@ -58,8 +61,7 @@ def test_01_baseline_tracking(baseline):
     residual = baseline.column("residual")
     t_c = s["t_c"]
     ok_conv = t_c is not None and t_c < 50.0
-    mask = (t >= t_c) & outside_hold_windows(t, sc.plan.joint_times,
-                                             sc.fdi.joint_hold)
+    mask = (t >= t_c) & outside_hold_windows(sc, len(t))
     ok_resid = bool(np.all(residual[mask] < THRESHOLD))
     ok_trig = s["trigger_count"] == 0
     ok_time = s["runtime_s"] < 10.0

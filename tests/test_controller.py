@@ -10,10 +10,10 @@ from rovftc.controller import (ControllerGains, ReferenceSample,
 from rovftc.vehicle import VehicleParams, VehicleState, rotation_matrix
 
 
-def make_ref(eta_d, eta_d_dot=(0, 0, 0), eta_d_ddot=(0, 0, 0), smooth=True):
+def make_ref(eta_d, eta_d_dot=(0, 0, 0), eta_d_ddot=(0, 0, 0)):
     return ReferenceSample(np.asarray(eta_d, float),
                            np.asarray(eta_d_dot, float),
-                           np.asarray(eta_d_ddot, float), smooth)
+                           np.asarray(eta_d_ddot, float))
 
 
 class TestGains:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -7,11 +8,17 @@ import pytest
 from rovftc.fdi import (FdiConfig, FdiEngine, detection_threshold,
                         identify_fault, predict_sign_pattern,
                         reconfigure_step, residual)
+from rovftc.vehicle import ThrusterGeometry
 
 ALPHA = math.pi / 4.0
 
-SMOOTH = True   # reference smoothness flag away from segment joints
-JOINT = False   # ... and exactly at one
+JOINT = True    # the sample at which a segment joint acts
+SMOOTH = False  # ... and any other sample
+
+
+def make_engine(cfg, geom):
+    """An engine sampled every 0.01 s."""
+    return FdiEngine(cfg, geom, round(cfg.t_s / 0.01), round(cfg.joint_hold / 0.01))
 
 # sign rows for a degraded first thruster, indexed by
 # (u1 sign, cos(psi - alpha) sign, sin(psi - alpha) sign)
@@ -52,19 +59,27 @@ class TestResidual:
 
 class TestThreshold:
     def test_default_sum(self, fdi_cfg):
-        assert detection_threshold(fdi_cfg, SMOOTH) == pytest.approx(0.31)
+        assert detection_threshold(fdi_cfg) == pytest.approx(0.31)
 
     def test_zero_margin_collapses_to_base(self, fdi_cfg):
         cfg = dataclasses.replace(fdi_cfg, f_smooth=0.0)
-        assert detection_threshold(cfg, SMOOTH) == pytest.approx(cfg.c2)
+        assert detection_threshold(cfg) == pytest.approx(cfg.c2)
 
     def test_widened_in_hold_window(self, fdi_cfg):
-        assert detection_threshold(fdi_cfg, SMOOTH, in_hold_window=True) \
+        assert detection_threshold(fdi_cfg, in_hold_window=True) \
             == pytest.approx(0.31 + fdi_cfg.joint_widen)
 
-    def test_widened_at_joint_sample(self, fdi_cfg):
-        assert detection_threshold(fdi_cfg, JOINT) \
-            == pytest.approx(0.31 + fdi_cfg.joint_widen)
+    def test_widened_at_joint_sample(self, fdi_cfg, geom):
+        # the joint sample is the first of its own hold window, even with
+        # no hold after it
+        engine = make_engine(dataclasses.replace(fdi_cfg, joint_hold=0.0), geom)
+        widened = detection_threshold(fdi_cfg, in_hold_window=True)
+        thresholds = []
+        for joint in (SMOOTH, JOINT, SMOOTH):
+            engine.update(0.0, np.zeros(3), np.zeros(3), np.zeros(4), 0.0, joint)
+            thresholds.append(engine.state.threshold)
+        assert thresholds == [detection_threshold(fdi_cfg), widened,
+                              detection_threshold(fdi_cfg)]
 
 
 class TestSignPrediction:
@@ -94,14 +109,17 @@ class TestSignPrediction:
 
     def test_patterns_distinct_across_bank(self, geom, fdi_cfg, rng):
         # for any heading and command signs, no two thrusters share a
-        # fully-determinate signature
-        for _ in range(200):
-            psi = rng.uniform(-math.pi, math.pi)
-            u = rng.choice([-0.5, 0.5], 4)
+        # fully-determinate signature: 200 random draws, then every
+        # heading k pi / 32 with every sign combination
+        cases = [(rng.uniform(-math.pi, math.pi), rng.choice([-0.5, 0.5], 4))
+                 for _ in range(200)]
+        cases += [(k * math.pi / 32, u) for k in range(64)
+                  for u in itertools.product((-0.5, 0.5), repeat=4)]
+        for psi, u in cases:
             pats = [predict_sign_pattern(i, u[i - 1], psi, geom, fdi_cfg)
                     for i in range(1, 5)]
             full = [p for p in pats if 0 not in p]
-            assert len(full) == len(set(full))
+            assert len(full) == len(set(full)), (psi, u)
 
 
 class TestIdentify:
@@ -119,6 +137,16 @@ class TestIdentify:
         psi = QUADRANT_HEADING[(-1, +1)]
         e_dot = np.array([-0.1, 0.1, 0.5 * fdi_cfg.delta2])
         u = np.array([0.5, 0.5, -0.5, -0.5])
+        assert identify_fault(e_dot, u, psi, fdi_cfg, geom) is None
+
+    def test_two_candidates_defer(self, fdi_cfg):
+        # at alpha = pi/6 and heading pi/4, thrusters 2 and 4 both
+        # predict (1, 1, 1) for these commands: no unique candidate
+        geom = ThrusterGeometry(alpha=math.pi / 6)
+        psi, u = math.pi / 4, np.array([0.5, 0.5, 0.5, -0.5])
+        assert [predict_sign_pattern(i, u[i - 1], psi, geom, fdi_cfg)
+                for i in (2, 4)] == [(1, 1, 1), (1, 1, 1)]
+        e_dot = np.array([0.1, 0.1, 0.1])
         assert identify_fault(e_dot, u, psi, fdi_cfg, geom) is None
 
     def test_dead_band_candidates_excluded(self, geom, fdi_cfg):
@@ -158,10 +186,10 @@ class TestConfigValidation:
 
 
 def drive(engine, samples):
-    """Feed (t, e_eta, e_dot, u, psi, smooth) tuples; collect decrements."""
+    """Feed (t, e_eta, e_dot, u, psi, joint) tuples; collect decrements."""
     updates = []
-    for t, e_eta, e_dot, u, psi, smooth in samples:
-        due = engine.update(t, 0.01, e_eta, e_dot, u, psi, smooth)
+    for t, e_eta, e_dot, u, psi, joint in samples:
+        due = engine.update(t, e_eta, e_dot, u, psi, joint)
         if due is not None:
             updates.append((t, due))
     return updates
@@ -181,19 +209,19 @@ class TestEngine:
         return (t, self.FAULT_E, e_dot, self.CRUISE_U, self.PSI, SMOOTH)
 
     def test_arms_only_after_settling(self, fdi_cfg, geom):
-        engine = FdiEngine(fdi_cfg, geom)
+        engine = make_engine(fdi_cfg, geom)
         # large residual before the loop has ever settled: ignored
         for k in range(50):
-            engine.update(k * 0.01, 0.01, [3.0, 4.0, 0.0], np.zeros(3),
+            engine.update(k * 0.01, [3.0, 4.0, 0.0], np.zeros(3),
                           self.CRUISE_U, self.PSI, SMOOTH)
         assert not engine.state.armed
         assert not engine.state.b_trig
-        engine.update(0.5, 0.01, np.zeros(3), np.zeros(3), self.CRUISE_U,
+        engine.update(0.5, np.zeros(3), np.zeros(3), self.CRUISE_U,
                       self.PSI, SMOOTH)
         assert engine.state.armed
 
     def test_debounce_then_trigger_and_identify(self, fdi_cfg, geom):
-        engine = FdiEngine(fdi_cfg, geom)
+        engine = make_engine(fdi_cfg, geom)
         drive(engine, [self.quiet(0.0)])
         for k in range(fdi_cfg.n_consec - 1):
             drive(engine, [self.faulted(0.01 * (k + 1))])
@@ -208,9 +236,9 @@ class TestEngine:
     def test_residual_at_threshold_stays_quiet(self, fdi_cfg, geom):
         # detection is a strict comparison: a residual that equals the
         # threshold exactly never counts as above it
-        engine = FdiEngine(fdi_cfg, geom)
+        engine = make_engine(fdi_cfg, geom)
         drive(engine, [self.quiet(0.0)])
-        at = np.array([detection_threshold(fdi_cfg, SMOOTH), 0.0, 0.0])
+        at = np.array([detection_threshold(fdi_cfg), 0.0, 0.0])
         for k in range(3 * fdi_cfg.n_consec):
             drive(engine, [(0.01 * (k + 1), at, self.FAULT_EDOT,
                             self.CRUISE_U, self.PSI, SMOOTH)])
@@ -220,14 +248,14 @@ class TestEngine:
         assert not engine.state.b_trig and engine.state.trigger_log == []
 
     def test_single_spike_rejected(self, fdi_cfg, geom):
-        engine = FdiEngine(fdi_cfg, geom)
+        engine = make_engine(fdi_cfg, geom)
         drive(engine, [self.quiet(0.0)])
         drive(engine, [self.faulted(0.01), self.quiet(0.02),
                        self.faulted(0.03), self.quiet(0.04)])
         assert not engine.state.b_trig
 
     def test_identification_retries_until_clear(self, fdi_cfg, geom):
-        engine = FdiEngine(fdi_cfg, geom)
+        engine = make_engine(fdi_cfg, geom)
         drive(engine, [self.quiet(0.0)])
         t = 0.01
         for _ in range(fdi_cfg.n_consec):
@@ -245,7 +273,7 @@ class TestEngine:
         assert engine.state.fault_num == 1
 
     def test_decrement_cadence_after_identification(self, fdi_cfg, geom):
-        engine = FdiEngine(fdi_cfg, geom)
+        engine = make_engine(fdi_cfg, geom)
         drive(engine, [self.quiet(0.0)])
         t = 0.01
         updates = []
@@ -258,15 +286,15 @@ class TestEngine:
         assert gap == pytest.approx(fdi_cfg.t_s, abs=0.02)
 
     def test_decrement_period_in_whole_samples(self, fdi_cfg, geom):
-        # 5 000 additions of 0.01 fall 1.4e-12 short of 50.0
-        engine = FdiEngine(dataclasses.replace(fdi_cfg, t_s=50.0), geom)
+        # 5 000 samples, where 5 000 additions of 0.01 fall 1.4e-12 short of 50.0
+        engine = make_engine(dataclasses.replace(fdi_cfg, t_s=50.0), geom)
         drive(engine, [self.quiet(0.0)])
         due = [k for k in range(1, 10_200) if drive(engine, [self.faulted(0.01 * k)])]
         assert len(due) == 2
         assert due[1] - due[0] == 5000
 
     def test_falling_edge_rearms(self, fdi_cfg, geom):
-        engine = FdiEngine(fdi_cfg, geom)
+        engine = make_engine(fdi_cfg, geom)
         drive(engine, [self.quiet(0.0)])
         t = 0.01
         for _ in range(fdi_cfg.n_consec + 2):
@@ -276,7 +304,7 @@ class TestEngine:
         drive(engine, [self.quiet(t)])
         st = engine.state
         assert not st.b_trig
-        assert st.fault_num is None and st.w_time == 0.0
+        assert st.fault_num is None and st.w_samples == 0
         # a second fault triggers a fresh episode
         t += 0.01
         for _ in range(fdi_cfg.n_consec + 1):
@@ -287,20 +315,20 @@ class TestEngine:
         assert len(rises) == 2
 
     def test_hold_window_suppresses_joint_spike(self, fdi_cfg, geom):
-        engine = FdiEngine(fdi_cfg, geom)
+        engine = make_engine(fdi_cfg, geom)
         drive(engine, [self.quiet(0.0)])
         # joint sample opens the hold window
-        engine.update(1.0, 0.01, np.zeros(3), np.zeros(3), self.CRUISE_U,
+        engine.update(1.0, np.zeros(3), np.zeros(3), self.CRUISE_U,
                       self.PSI, JOINT)
         spike = np.array([0.2, 0.2, 0.2])  # residual 0.54: above 0.31, below 0.61
         for k in range(3 * fdi_cfg.n_consec):
-            engine.update(1.01 + 0.01 * k, 0.01, spike, np.zeros(3),
+            engine.update(1.01 + 0.01 * k, spike, np.zeros(3),
                           self.CRUISE_U, self.PSI, SMOOTH)
         assert not engine.state.b_trig
         # same spike outside the window trips it
-        engine2 = FdiEngine(fdi_cfg, geom)
+        engine2 = make_engine(fdi_cfg, geom)
         drive(engine2, [self.quiet(0.0)])
         for k in range(fdi_cfg.n_consec + 1):
-            engine2.update(1.01 + 0.01 * k, 0.01, spike, np.zeros(3),
+            engine2.update(1.01 + 0.01 * k, spike, np.zeros(3),
                            self.CRUISE_U, self.PSI, SMOOTH)
         assert engine2.state.b_trig

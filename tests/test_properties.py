@@ -1,6 +1,7 @@
 """Property tests over the paper's reconfiguration invariants: short runs
 that cross one or two random faults, with random update period and
-decrement. Examples are derandomized, so the suite stays deterministic."""
+decrement; and over the rule that turns an instant into a step index.
+Examples are derandomized, so the suite stays deterministic."""
 
 import math
 
@@ -8,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from rovftc.scenario import scenario_from_dict
-from rovftc.simulation import Simulation
+from rovftc.simulation import TIME_TOL, Simulation, step_index
 
 HALF_PI = math.pi / 2
 
@@ -83,3 +84,27 @@ def test_step_rows_equal_run_rows(cfg):
     kept = np.concatenate([np.array(rows[::dec]), sim.run().rows])
     plain = Simulation(scenario_from_dict(cfg, name="prop")).run()
     assert kept.tobytes() == plain.rows.tobytes()
+
+
+@st.composite
+def instants(draw):
+    """(t, dt): t in [0, 1e4) s, anywhere or within a few ulps of a step
+    start or of one TIME_TOL before it."""
+    dt = draw(st.sampled_from([0.001, 0.002, 0.005, 0.01, 0.02]))
+    if draw(st.booleans()):
+        return draw(st.floats(0.0, 1e4, exclude_max=True)), dt
+    t = (draw(st.integers(0, round(1e4 / dt) - 1)) * dt
+         - draw(st.sampled_from([0.0, TIME_TOL])))
+    ulps = draw(st.integers(-3, 3))
+    for _ in range(abs(ulps)):
+        t = math.nextafter(t, math.copysign(math.inf, ulps))
+    return max(t, 0.0), dt
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(instants())
+def test_step_index_is_first_step_at_or_after(instant):
+    t, dt = instant
+    k = step_index(t, dt)
+    assert t <= k * dt + TIME_TOL
+    assert k == 0 or t > (k - 1) * dt + TIME_TOL

@@ -383,6 +383,23 @@ class TestCli:
         # exactly one step is the shortest admissible period
         assert main(["validate", str(path), "--override", "fdi.t_s=0.01"]) == 0
 
+    def test_step_count_past_float_range_rejected(self, capsys):
+        # 600 s in steps of 1e-320 s is more steps than a float counts
+        assert main(["validate", "fig3_baseline", "--override", "sim.dt=1e-320"]) == 2
+        assert "not a whole number of steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["fdi.t_s=0.015", "fdi.joint_hold=10.005"])
+    def test_period_and_hold_are_whole_steps(self, tmp_path, capsys, override):
+        # at dt 0.01 s these are 1.5 and 1 000.5 steps
+        path = self.short_scenario(tmp_path)
+        out = tmp_path / "out"
+        for cmd in (["validate"], ["run", "--out", str(out)],
+                    ["batch", "--out", str(out)]):
+            assert main([cmd[0], str(path), *cmd[1:], "--override", override]) == 2
+            err = capsys.readouterr().err
+            assert "not a whole number of steps" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_validate_ok(self, capsys):
         assert main(["validate", "fig5_residual"]) == 0
         assert "valid" in capsys.readouterr().out

@@ -10,8 +10,7 @@ from rovftc.allocation import achieved_wrench, allocate
 from rovftc.controller import control_law, error_rate, tracking_errors
 from rovftc.fdi import detection_threshold
 from rovftc.scenario import load_scenario, scenario_from_dict
-from rovftc.simulation import COLUMNS, FaultSchedule, Simulation
-from rovftc.trajectory import TIME_TOL
+from rovftc.simulation import COLUMNS, TIME_TOL, FaultSchedule, Simulation
 from rovftc.vehicle import VehicleState, dynamics_rhs, kinematics_rhs
 
 HALF_PI = math.pi / 2
@@ -249,13 +248,13 @@ class TestStep:
             # the snapshot is taken after any reconfiguration at t
             assert c == sim._control(s, ref)
             assert c[:6] == sim._control(s, ref, False)
-            seen.append(t)
+            seen.append(sim.k)
             return row, c
 
         sim._boundary = checked_boundary
         rows = [sim.step() for _ in range(sim.n_steps)]
-        assert len(seen) == sim.n_steps
-        assert any(sim.plan.is_joint(t) for t in seen)
+        assert seen == list(range(sim.n_steps))
+        assert sim.scenario.joint_steps[0] in seen
         assert sim.bank.w_true[0] == 0.3
         assert sim.bank.w_hat[0] < 1.0 - sim.engine.cfg.delta_w
 
@@ -270,7 +269,8 @@ class TestStep:
         assert s["saturation_steps"] > 0
         assert [num for _, num in s["identifications"]] == [1]
         assert np.count_nonzero(np.diff(wh1)) >= 3
-        assert sum(map(make_scenario(**crossing_cfg()).plan.is_joint, t)) == 1
+        joints = make_scenario(**crossing_cfg()).joint_steps
+        assert [k for k in joints if k < len(t)] == [800] and t[800] == 8.0
         path = tmp_path / "crossing.csv"
         res.write_csv(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == CROSSING_CSV_SHA256
@@ -289,16 +289,17 @@ class TestStep:
         update = sim.engine.update
         flags = []
 
-        def spy(t, dt, e_eta, e_dot, u_cmd, psi, smooth):
-            flags.append((smooth, not sim.plan.is_joint(t)))
-            return update(t, dt, e_eta, e_dot, u_cmd, psi, smooth)
+        def spy(t, e_eta, e_dot, u_cmd, psi, joint):
+            flags.append(joint)
+            return update(t, e_eta, e_dot, u_cmd, psi, joint)
 
         sim.engine.update = spy
         sim.run()
         assert len(flags) == sim.n_steps + 1
-        assert all(got == want for got, want in flags)
-        # joints at 2.3 s and 5.2 s, each a few ulps before its step time
-        assert [want for _, want in flags].count(False) == 2
+        # joints at 2.3 s and 5.2 s, each a few ulps before its step time,
+        # and at 25.2 s, past the run
+        assert sim.scenario.joint_steps == (230, 520, 2520)
+        assert [k for k, joint in enumerate(flags) if joint] == [230, 520]
 
     def test_divergence_guard(self):
         sc = make_scenario(
@@ -390,9 +391,26 @@ class TestRun:
             "sim.duration=350.0", "sim.decimation=1"])
         res = Simulation(sc).run()
         widened = np.flatnonzero(res.column("threshold")
-                                 == detection_threshold(sc.fdi, False))
+                                 == detection_threshold(sc.fdi, True))
         assert np.array_equal(widened, np.arange(30001, 31002))  # 1 001 steps
         assert res.column("t")[widened[0]] == pytest.approx(300.01)
+
+    def test_hold_window_counts_steps(self):
+        # at step 12, 12 * 0.01 + 10.0 rounds below 1 012 * 0.01, so a
+        # window kept in float seconds would close one step early
+        sc = make_scenario(
+            sim={"duration": 12.0, "decimation": 1},
+            trajectory={"initial_pose": [10.0, 5.0, HALF_PI],
+                        "segments": [
+                            {"mode": "straight", "duration": 0.12,
+                             "speed": 1.0, "heading": HALF_PI},
+                            {"mode": "turn", "duration": 20.0,
+                             "speed": 1.0, "yaw_rate": 0.05}]})
+        res = Simulation(sc).run()
+        widened = np.flatnonzero(res.column("threshold")
+                                 == detection_threshold(sc.fdi, True))
+        assert np.array_equal(widened, np.arange(12, 1013))  # 1 001 steps
+        assert (sc.joint_steps, sc.hold_steps) == ((12, 2012), 1000)
 
     def test_summary_shape(self):
         sc = make_scenario(sim={"duration": 2.0})
@@ -452,6 +470,19 @@ class TestRun:
                 == want["max_residual_after_arming"])
         assert ([e["reconverged_at"] for e in summary["events"]]
                 == want["reconverged_at"])
+
+    def test_reconvergence_needs_the_last_two_steps_quiet(self):
+        # window 0 runs from the step where the first fault acts (10) to
+        # the one where the second does (20)
+        sim = fault_sim([{"time": 0.1, "thruster": 1, "weight": 0.5},
+                         {"time": 0.2, "thruster": 2, "weight": 0.5}])
+        sim.run()
+        assert sim.scenario.event_steps == (10, 20)
+        reconverged = []
+        for k_above in (17, 18, 19):  # the window's last step above threshold
+            sim._win_above[1] = k_above
+            reconverged.append(sim._build_summary(0.0)["events"][0]["reconverged_at"])
+        assert reconverged == [17 * 0.01 + 0.01, None, None]
 
     @pytest.mark.parametrize("make_cfg, m", [
         (start_up_cfg, 1), (start_up_cfg, 100),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rovftc.simulation import step_index
 from rovftc.trajectory import Segment, TrajectoryPlan
 
 HALF_PI = math.pi / 2
@@ -48,7 +49,7 @@ class TestDemoPlan:
 
     def test_continuity_at_joint(self, demo_plan):
         # pose and planar velocity chain continuously; the yaw rate steps,
-        # which is exactly why the joint is flagged non-smooth
+        # which is exactly why the joint opens a hold window
         eps = 1e-9
         before = demo_plan.sample(300.0 - eps)
         after = demo_plan.sample(300.0 + eps)
@@ -56,16 +57,15 @@ class TestDemoPlan:
         assert np.allclose(before.eta_d_dot[:2], after.eta_d_dot[:2], atol=1e-6)
         assert after.eta_d_dot[2] - before.eta_d_dot[2] == pytest.approx(0.05)
 
-    def test_smooth_flags(self, demo_plan):
-        assert demo_plan.sample(150.0).smooth
-        assert not demo_plan.sample(300.0).smooth
-        assert not demo_plan.sample(600.0).smooth
+    def test_joint_steps(self, demo_plan, default_scenario):
         assert demo_plan.joint_times == [300.0, 600.0]
+        assert default_scenario.joint_steps == (30000, 60000)
 
-    def test_joint_tolerance_catches_step_time(self, demo_plan):
-        # accumulated float step time lands within the tolerance
-        t = 30000 * 0.01
-        assert not demo_plan.sample(t).smooth
+    def test_joint_tolerance_catches_step_time(self):
+        # a joint a few ulps either side of a step start acts at that step
+        for t in (math.nextafter(300.0, 0.0), 300.0, math.nextafter(300.0, 400.0)):
+            assert step_index(t, 0.01) == 30000
+        assert step_index(300.0 + 2e-9, 0.01) == 30001
 
 
 class TestSegments:
