@@ -44,6 +44,12 @@ class ControllerGains:
             if np.any(vec <= 0.0):
                 raise ValueError(f"{name} entries must be positive")
             setattr(self, name, vec)
+        with np.errstate(over="ignore"):
+            ratios = (self.a1 / self.gamma1, self.a2 / self.gamma2,
+                      self.gamma1 / self.gamma2)
+        if not np.isfinite(ratios).all():
+            raise ValueError("a gain ratio (a1/gamma1, a2/gamma2 or "
+                             "gamma1/gamma2) overflows")
 
     @property
     def decay_rate(self) -> float:

@@ -16,20 +16,26 @@ with dt^4.
 The inner loop is written with unrolled scalar arithmetic; the matrix
 form of every formula lives in `vehicle`, `controller` and `allocation`,
 and the test suite checks the two paths against each other. That scalar
-path is one closure, built by `_control_fn` for each set of tables (once
-at the start, then again whenever a fault event or a reconfiguration
-changes the weights), with every table entry bound as a closure local.
-It computes the control snapshot and the state derivative in one pass.
-Each step evaluates it 4 times: the boundary snapshot, which is exactly
-RK4 stage k1 (same time, state and tables) and is reused as such, plus
-stages k2, k3 and k4, which ask only for the six derivatives. The
-reference is sampled once per distinct time: t, t + dt/2 (shared by k2
-and k3) and t + dt.
+path is one function, `_KERNEL`, compiled once per scenario: every
+run-constant table entry (inertia, damping, B, their inverses, the gain
+ratios, the thruster columns, u_max) is written into it as a float
+literal, and a term whose constant is exactly 0.0 is left out of its sum.
+The allocation rows and thrust gains change with the weights, so they
+are bound, not compiled: each fault event or reconfiguration calls the
+compiled `bind` again. The kernel computes the control snapshot and the
+state derivative in one pass. Each step evaluates it 4 times: the
+boundary snapshot, which is exactly RK4 stage k1 (same time, state and
+tables) and is reused as such, plus stages k2, k3 and k4, which ask only
+for the six derivatives. The reference is sampled once per distinct
+time, t + dt/2 (shared by k2 and k3) and t + dt; the sample at t + dt
+serves the next boundary too when that starts at the same float.
 """
 
 from __future__ import annotations
 
+import linecache
 import math
+import re
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -142,6 +148,9 @@ class Scenario:
     hold_steps: int = field(init=False)     # fdi.joint_hold
     event_steps: tuple = field(init=False)  # where each fault event acts
     joint_steps: tuple = field(init=False)  # where each segment joint acts
+    # `_KERNEL`'s `bind`, compiled at load for the tables above, so that
+    # every Simulation of the scenario shares it and no run pays for it
+    kernel: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -178,6 +187,18 @@ class Scenario:
         self.initial_state = np.asarray(self.initial_state, dtype=float)
         if self.initial_state.shape != (6,):
             raise ValueError("initial_state must have 6 entries")
+        self.kernel = _kernel(self.params, self.gains, self.geometry,
+                              self.bank.u_max)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["kernel"]  # compiled code; a copy compiles its own
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.kernel = _kernel(self.params, self.gains, self.geometry,
+                              self.bank.u_max)
 
 
 @dataclass
@@ -204,55 +225,36 @@ class SimResult:
                 fh.write(f"# aborted: state divergence at t={self.diverged_time:.6g}\n")
 
 
-def _table(arr) -> tuple:
-    """A numpy vector or matrix as (nested) tuples of Python floats. The
-    hot path does the same IEEE double arithmetic on them as on numpy
-    scalars, without numpy's per-operation overhead."""
-    return tuple(tuple(x) if isinstance(x, list) else x
-                 for x in np.asarray(arr, dtype=float).tolist())
-
-
-def _control_fn(params: VehicleParams, gains: ControllerGains,
-                geom: ThrusterGeometry, bank: ThrusterBank, alloc: tuple):
-    """The scalar hot path for one set of tables: `control(s, ref,
-    full=True)` runs controller, allocation, thrust and plant for state
-    `s` against the flat reference `ref` (a `TrajectoryPlan.sample_flat`
-    tuple). `alloc` holds the wrench-to-command rows; thrust comes from
-    `bank.K * bank.w_true`. With `full=False` (RK4 stages k2-k4) it
-    returns the state derivative (d0..d5) alone; otherwise the snapshot
-      (d0..d5, ex, ey, ep, edx, edy, edr, en1, en2, en3,
-       u1..u4, tc1, tc2, tc3, tu, tv, tr, sat)
-    whose first six entries are that same derivative."""
-    (m00, m01, m02), (m10, m11, m12), _ = _table(params.inertia)
-    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = _table(params.inertia_inv)
-    (l00, l01, l02), (l10, l11, l12), (l20, l21, l22) = _table(params.lin_damping)
-    q0, q1, q2 = _table(params.quad_damping)
-    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = _table(params.B)
-    (n00, n01, n02), (n10, n11, n12), (n20, n21, n22) = _table(params.B_inv)
-    k10, k11, k12 = _table(gains.a1 / gains.gamma1)
-    k20, k21, k22 = _table(gains.a2 / gains.gamma2)
-    kc0, kc1, kc2 = _table(gains.gamma1 / gains.gamma2)
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22), (a30, a31, a32) = alloc
-    # per-thruster wrench columns
-    (c1u, c1v, c1r), (c2u, c2v, c2r), (c3u, c3v, c3r), (c4u, c4v, c4r) = \
-        _table(geom.t_conf.T)
-    kw1, kw2, kw3, kw4 = _table(bank.K * bank.w_true)
-    um = float(bank.u_max)
-    cos, sin, fmod, pi = math.cos, math.sin, math.fmod, math.pi
-
-    def control(s: tuple, ref: tuple, full: bool = True) -> tuple:
+#: The scalar hot path. `bind(a.., kw..)` returns `control(s, ref,
+#: full=True)`, which runs controller, allocation, thrust and plant for
+#: state `s` against the flat reference `ref` (a `TrajectoryPlan.sample_flat`
+#: tuple). The `a` rows map the wrench to commands and `kw` = K * w_true
+#: turns commands into thrust; both change with the weights. With
+#: `full=False` (RK4 stages k2-k4) `control` returns the state derivative
+#: (d0..d5) alone; otherwise the snapshot
+#:   (d0..d5, ex, ey, ep, edx, edy, edr, en1, en2, en3,
+#:    u1..u4, tc1, tc2, tc3, tu, tv, tr, sat)
+#: whose first six entries are that same derivative. `_kernel` writes each
+#: `{...}` as Python source by `_literal_sum`: a table entry such as `m01`
+#: becomes its float literal, a `name * operand` term whose constant is
+#: exactly 0.0 is left out of its sum, and a factor of exactly 1.0 is
+#: left out of its product.
+_KERNEL = """\
+def bind(a00, a01, a02, a10, a11, a12, a20, a21, a22, a30, a31, a32,
+         kw1, kw2, kw3, kw4):
+    def control(s, ref, full=True):
         X, Y, psi, u, v, r = s
         cp, sp = cos(psi), sin(psi)
         xd, yd, psid, vxd, vyd, rd, axd, ayd = ref
         ex = xd - X
         ey = yd - Y
-        ep = fmod(psid - psi + pi, TWO_PI)  # wrap_angle(psid - psi)
+        ep = fmod(psid - psi + {pi}, {two_pi})  # wrap_angle(psid - psi)
         if ep <= 0.0:
-            ep += TWO_PI
-        ep -= pi
-        wx = vxd + k10 * ex
-        wy = vyd + k11 * ey
-        wp = rd + k12 * ep
+            ep += {two_pi}
+        ep -= {pi}
+        wx = {vxd + k10 * ex}
+        wy = {vyd + k11 * ey}
+        wp = {rd + k12 * ep}
         al1 = cp * wx + sp * wy
         al2 = -sp * wx + cp * wy
         en1 = al1 - u
@@ -263,43 +265,43 @@ def _control_fn(params: VehicleParams, gains: ControllerGains,
         edx = vxd - xdot
         edy = vyd - ydot
         edr = rd - r
-        hx = axd + k10 * edx
-        hy = ayd + k11 * edy
+        hx = {axd + k10 * edx}
+        hy = {ayd + k11 * edy}
         ad1 = cp * hx + sp * hy + r * al2
         ad2 = -sp * hx + cp * hy - r * al1
-        ad3 = k12 * edr
-        c13 = -(m10 * u + m11 * v + m12 * r)
-        c23 = m00 * u + m01 * v + m02 * r
-        t1 = c13 * r + (l00 * u + l01 * v + l02 * r + q0 * abs(u) * u)
-        t2 = c23 * r + (l10 * u + l11 * v + l12 * r + q1 * abs(v) * v)
-        t3 = (-c13 * u - c23 * v) + (l20 * u + l21 * v + l22 * r + q2 * abs(r) * r)
-        fv1 = -(i00 * t1 + i01 * t2 + i02 * t3)
-        fv2 = -(i10 * t1 + i11 * t2 + i12 * t3)
-        fv3 = -(i20 * t1 + i21 * t2 + i22 * t3)
-        in1 = ad1 - fv1 + k20 * en1 + kc0 * (cp * ex - sp * ey)
-        in2 = ad2 - fv2 + k21 * en2 + kc1 * (sp * ex + cp * ey)
-        in3 = ad3 - fv3 + k22 * en3 + kc2 * ep
-        tc1 = n00 * in1 + n01 * in2 + n02 * in3
-        tc2 = n10 * in1 + n11 * in2 + n12 * in3
-        tc3 = n20 * in1 + n21 * in2 + n22 * in3
+        ad3 = {k12 * edr}
+        c13 = -({m10 * u + m11 * v + m12 * r})
+        c23 = {m00 * u + m01 * v + m02 * r}
+        t1 = c13 * r + ({l00 * u + l01 * v + l02 * r + q0 * abs(u) * u})
+        t2 = c23 * r + ({l10 * u + l11 * v + l12 * r + q1 * abs(v) * v})
+        t3 = (-c13 * u - c23 * v) + ({l20 * u + l21 * v + l22 * r + q2 * abs(r) * r})
+        fv1 = -({i00 * t1 + i01 * t2 + i02 * t3})
+        fv2 = -({i10 * t1 + i11 * t2 + i12 * t3})
+        fv3 = -({i20 * t1 + i21 * t2 + i22 * t3})
+        in1 = {ad1 - fv1 + k20 * en1 + kc0 * (cp * ex - sp * ey)}
+        in2 = {ad2 - fv2 + k21 * en2 + kc1 * (sp * ex + cp * ey)}
+        in3 = {ad3 - fv3 + k22 * en3 + kc2 * ep}
+        tc1 = {n00 * in1 + n01 * in2 + n02 * in3}
+        tc2 = {n10 * in1 + n11 * in2 + n12 * in3}
+        tc3 = {n20 * in1 + n21 * in2 + n22 * in3}
         ur1 = a00 * tc1 + a01 * tc2 + a02 * tc3
         ur2 = a10 * tc1 + a11 * tc2 + a12 * tc3
         ur3 = a20 * tc1 + a21 * tc2 + a22 * tc3
         ur4 = a30 * tc1 + a31 * tc2 + a32 * tc3
-        u1 = um if ur1 > um else (-um if ur1 < -um else ur1)
-        u2 = um if ur2 > um else (-um if ur2 < -um else ur2)
-        u3 = um if ur3 > um else (-um if ur3 < -um else ur3)
-        u4 = um if ur4 > um else (-um if ur4 < -um else ur4)
+        u1 = {um} if ur1 > {um} else (-{um} if ur1 < -{um} else ur1)
+        u2 = {um} if ur2 > {um} else (-{um} if ur2 < -{um} else ur2)
+        u3 = {um} if ur3 > {um} else (-{um} if ur3 < -{um} else ur3)
+        u4 = {um} if ur4 > {um} else (-{um} if ur4 < -{um} else ur4)
         f1 = kw1 * u1
         f2 = kw2 * u2
         f3 = kw3 * u3
         f4 = kw4 * u4
-        tu = c1u * f1 + c2u * f2 + c3u * f3 + c4u * f4
-        tv = c1v * f1 + c2v * f2 + c3v * f3 + c4v * f4
-        tr = c1r * f1 + c2r * f2 + c3r * f3 + c4r * f4
-        d3 = fv1 + b00 * tu + b01 * tv + b02 * tr
-        d4 = fv2 + b10 * tu + b11 * tv + b12 * tr
-        d5 = fv3 + b20 * tu + b21 * tv + b22 * tr
+        tu = {g00 * f1 + g01 * f2 + g02 * f3 + g03 * f4}
+        tv = {g10 * f1 + g11 * f2 + g12 * f3 + g13 * f4}
+        tr = {g20 * f1 + g21 * f2 + g22 * f3 + g23 * f4}
+        d3 = {fv1 + b00 * tu + b01 * tv + b02 * tr}
+        d4 = {fv2 + b10 * tu + b11 * tv + b12 * tr}
+        d5 = {fv3 + b20 * tu + b21 * tv + b22 * tr}
         if not full:
             return (xdot, ydot, r, d3, d4, d5)
         sat = (u1 != ur1) or (u2 != ur2) or (u3 != ur3) or (u4 != ur4)
@@ -307,6 +309,49 @@ def _control_fn(params: VehicleParams, gains: ControllerGains,
                 en1, en2, en3, u1, u2, u3, u4, tc1, tc2, tc3, tu, tv, tr, sat)
 
     return control
+"""
+
+
+def _literal_sum(expr: str, consts: dict) -> str:
+    """`expr`, a `+`-joined sum, with each constant written as its float
+    literal; a `name * operand` term whose constant is 0.0 is left out,
+    and one whose constant is 1.0 is the operand alone (bit for bit)."""
+    terms = []
+    for term in expr.split(" + "):
+        name, star, operand = term.partition(" * ")
+        if name in consts:
+            x = consts[name]
+            if not math.isfinite(x):
+                raise ValueError(f"hot-path constant {name} = {x} is not finite")
+            if star and x == 0.0:
+                continue
+            term = operand if star and x == 1.0 else repr(x) + star + operand
+        terms.append(term)
+    return " + ".join(terms) or "0.0"
+
+
+def _kernel(params: VehicleParams, gains: ControllerGains,
+            geom: ThrusterGeometry, u_max: float):
+    """`_KERNEL` compiled for one run's tables; returns its `bind`. The
+    source is registered with `linecache`, so tracebacks show its lines."""
+    consts = {"pi": math.pi, "two_pi": TWO_PI, "um": float(u_max)}
+    for prefix, table in (("m", params.inertia), ("i", params.inertia_inv),
+                          ("l", params.lin_damping), ("b", params.B),
+                          ("n", params.B_inv), ("q", params.quad_damping),
+                          ("k1", gains.a1 / gains.gamma1),
+                          ("k2", gains.a2 / gains.gamma2),
+                          ("kc", gains.gamma1 / gains.gamma2),
+                          ("g", geom.t_conf)):  # e.g. m01 = inertia[0, 1]
+        for index, x in np.ndenumerate(table):
+            consts[prefix + "".join(map(str, index))] = float(x)
+    source = re.sub(r"\{([^{}]*)\}",
+                    lambda m: _literal_sum(m.group(1), consts), _KERNEL)
+    filename = f"<rovftc kernel {hash(source) & 0xFFFFFFFF:08x}>"
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    namespace = {"cos": math.cos, "sin": math.sin, "fmod": math.fmod}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["bind"]
 
 
 class Simulation:
@@ -333,11 +378,12 @@ class Simulation:
         self._events = scenario.schedule.events
         self._event_steps = (*scenario.event_steps, self.n_steps + 1)  # last: never due
         self._joint_steps = frozenset(scenario.joint_steps)
-        self._g1 = _table(self.gains.gamma1)
-        self._g2 = _table(self.gains.gamma2)
+        self._g1 = tuple(self.gains.gamma1.tolist())
+        self._g2 = tuple(self.gains.gamma2.tolist())
         self._k_bad = -1  # running summary: last boundary with |e_eta| > 0.05
         self._max_res = self._max_res_armed = 0.0
         self._win_above = [None] * (len(self._events) + 1)  # last k above, per window
+        self._ref_end = (None, None)  # (t + dt, its sample) of the last RK4 step
         self._rebind()
 
     @property
@@ -348,39 +394,15 @@ class Simulation:
     # -- per-step work ----------------------------------------------------
 
     def _rebind(self):
-        """Rebind the control closure and the recorded weights to the true
+        """Bind the control kernel and the recorded weights to the true
         weights and estimates, with allocation rows for the active set."""
         bank = self.bank
         active = ~bank.failed_mask()
         rows = (_distribution_matrix(self.geom, active)
                 / np.where(active, bank.K * bank.w_hat, 1.0)[:, None])
-        self._control = _control_fn(self.params, self.gains, self.geom, bank,
-                                    _table(rows))
+        self._control = self.scenario.kernel(*rows.ravel().tolist(),
+                                             *(bank.K * bank.w_true).tolist())
         self._weights = tuple(bank.w_true.tolist() + bank.w_hat.tolist())
-
-    def _integrate(self, t: float, s: tuple, c: tuple) -> tuple:
-        """One RK4 step from (t, s); `c` is the full control snapshot at
-        (t, s), whose first six entries are stage k1."""
-        dt = self.dt
-        h = dt * 0.5
-        control = self._control
-        sample = self.plan.sample_flat
-        a0, a1, a2, a3, a4, a5 = s
-        ref = sample(t + h)
-        k2 = control((a0 + h * c[0], a1 + h * c[1], a2 + h * c[2],
-                      a3 + h * c[3], a4 + h * c[4], a5 + h * c[5]), ref, False)
-        k3 = control((a0 + h * k2[0], a1 + h * k2[1], a2 + h * k2[2],
-                      a3 + h * k2[3], a4 + h * k2[4], a5 + h * k2[5]), ref, False)
-        k4 = control((a0 + dt * k3[0], a1 + dt * k3[1], a2 + dt * k3[2],
-                      a3 + dt * k3[3], a4 + dt * k3[4], a5 + dt * k3[5]),
-                     sample(t + dt), False)
-        sx = dt / 6.0
-        return (a0 + sx * (c[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
-                a1 + sx * (c[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
-                a2 + sx * (c[2] + 2.0 * (k2[2] + k3[2]) + k4[2]),
-                a3 + sx * (c[3] + 2.0 * (k2[3] + k3[3]) + k4[3]),
-                a4 + sx * (c[4] + 2.0 * (k2[4] + k3[4]) + k4[4]),
-                a5 + sx * (c[5] + 2.0 * (k2[5] + k3[5]) + k4[5]))
 
     def _boundary(self, t: float, want_row: bool = True):
         """Fault schedule, control snapshot, FDI update and running
@@ -394,7 +416,9 @@ class Simulation:
             self._event_idx += 1
 
         s = self._s
-        ref = self.plan.sample_flat(t)
+        t_end, ref = self._ref_end
+        if t_end != t:
+            ref = self.plan.sample_flat(t)
         c = self._control(s, ref)
         due = self.engine.update(t, c[6:9], c[9:12], c[15:19], s[2],
                                  self.k in self._joint_steps)
@@ -436,15 +460,43 @@ class Simulation:
 
     def _cycle(self, want_row: bool = True):
         """The boundary at step k, then, unless k ends the run, one RK4
-        step and the divergence check; returns the boundary's row or None."""
-        k = self.k
-        t = k * self.dt
+        step from it and the divergence check; returns the boundary's row
+        or None. The boundary snapshot is stage k1, and the sample at
+        t + dt serves the next boundary too when it starts at that float."""
+        k, dt = self.k, self.dt
+        t = k * dt
         row, c = self._boundary(t, want_row)
         if k < self.n_steps:
-            s = self._integrate(t, self._s, c)
+            h = dt * 0.5
+            control = self._control
+            a0, a1, a2, a3, a4, a5 = self._s
+            sample = self.plan.sample_flat
+            t_end = t + dt
+            ref, ref_end = sample(t + h), sample(t_end)
+            self._ref_end = (t_end, ref_end)
+            try:
+                k2 = control((a0 + h * c[0], a1 + h * c[1], a2 + h * c[2],
+                              a3 + h * c[3], a4 + h * c[4], a5 + h * c[5]),
+                             ref, False)
+                k3 = control((a0 + h * k2[0], a1 + h * k2[1], a2 + h * k2[2],
+                              a3 + h * k2[3], a4 + h * k2[4], a5 + h * k2[5]),
+                             ref, False)
+                k4 = control((a0 + dt * k3[0], a1 + dt * k3[1], a2 + dt * k3[2],
+                              a3 + dt * k3[3], a4 + dt * k3[4], a5 + dt * k3[5]),
+                             ref_end, False)
+            except ValueError:  # a stage yaw at +-inf: cos and fmod raise
+                s = (math.nan,)   # which the check below takes for divergence
+            else:
+                sx = dt / 6.0
+                s = (a0 + sx * (c[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
+                     a1 + sx * (c[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
+                     a2 + sx * (c[2] + 2.0 * (k2[2] + k3[2]) + k4[2]),
+                     a3 + sx * (c[3] + 2.0 * (k2[3] + k3[3]) + k4[3]),
+                     a4 + sx * (c[4] + 2.0 * (k2[4] + k3[4]) + k4[4]),
+                     a5 + sx * (c[5] + 2.0 * (k2[5] + k3[5]) + k4[5]))
             for x in s:
                 if not (-DIVERGENCE_LIMIT <= x <= DIVERGENCE_LIMIT):  # catches NaN
-                    self.diverged_time = (k + 1) * self.dt
+                    self.diverged_time = (k + 1) * dt
                     break
             else:
                 self._s = (s[0], s[1], wrap_angle(s[2]), s[3], s[4], s[5])

@@ -40,25 +40,34 @@ class Segment:
             raise ValueError("turn segment needs a nonzero yaw rate")
 
 
-def _segment_sample(seg: Segment, pose, s: float):
-    """(xd, yd, psid, vxd, vyd, rd, axd, ayd) at time s into `seg`, which
-    starts at `pose`."""
+def _segment_fn(seg: Segment, pose):
+    """The reference in `seg`, which starts at `pose`, as a function of
+    the time s into the segment: (xd, yd, psid, vxd, vyd, rd, axd, ayd),
+    with every term that does not depend on s computed here, once."""
     x0, y0, psi0 = pose
     if seg.mode == "hold":
-        return (x0, y0, psi0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        held = (x0, y0, psi0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return lambda s: held
+    speed = seg.speed
     if seg.mode == "straight":
-        ch, sh = math.cos(seg.heading), math.sin(seg.heading)
-        return (x0 + seg.speed * s * ch, y0 + seg.speed * s * sh,
-                seg.heading, seg.speed * ch, seg.speed * sh, 0.0,
-                0.0, 0.0)
-    rad = seg.speed / seg.yaw_rate
-    psid = psi0 + seg.yaw_rate * s
-    cp, sp = math.cos(psid), math.sin(psid)
-    return (x0 + rad * (sp - math.sin(psi0)),
-            y0 - rad * (cp - math.cos(psi0)),
-            psid,
-            seg.speed * cp, seg.speed * sp, seg.yaw_rate,
-            -seg.speed * seg.yaw_rate * sp, seg.speed * seg.yaw_rate * cp)
+        psid = seg.heading
+        ch, sh = math.cos(psid), math.sin(psid)
+        vxd, vyd = speed * ch, speed * sh
+        return lambda s: (x0 + speed * s * ch, y0 + speed * s * sh,
+                          psid, vxd, vyd, 0.0, 0.0, 0.0)
+    rate = seg.yaw_rate
+    rad = speed / rate
+    s0, c0 = math.sin(psi0), math.cos(psi0)
+    ax_gain, ay_gain = -speed * rate, speed * rate  # of sp and cp
+    cos, sin = math.cos, math.sin
+
+    def turn(s):
+        psid = psi0 + rate * s
+        cp, sp = cos(psid), sin(psid)
+        return (x0 + rad * (sp - s0), y0 - rad * (cp - c0), psid,
+                speed * cp, speed * sp, rate, ax_gain * sp, ay_gain * cp)
+
+    return turn
 
 
 class TrajectoryPlan:
@@ -75,32 +84,40 @@ class TrajectoryPlan:
         self.initial_pose = tuple(float(v) for v in initial_pose)
         self.segments = list(segments)
         starts = [0.0]
-        poses = [self.initial_pose]
+        fns = []
+        pose = self.initial_pose
         for seg in self.segments:
+            fns.append(_segment_fn(seg, pose))
             starts.append(starts[-1] + seg.duration)
-            poses.append(_segment_sample(seg, poses[-1], seg.duration)[:3])
-        self._starts = starts          # segment start times, last = plan end
-        self._entry_poses = poses      # pose at each segment start
+            pose = fns[-1](seg.duration)[:3]
+        fns.append(_segment_fn(Segment("hold", math.inf), pose))
         self.end_time = starts[-1]
+        self._starts = (*starts, math.inf)  # segment i spans starts[i:i + 2]
+        self._fns = tuple(fns)              # the last one holds the end pose
+        self._cursor = 0                    # the segment of the last sample
+
+    def __reduce__(self):
+        # the segment functions are closures; a copy builds its own
+        return TrajectoryPlan, (self.initial_pose, self.segments)
 
     @property
     def joint_times(self) -> list[float]:
         """Times where the reference derivatives may jump (interior
         segment boundaries plus the plan end)."""
-        return self._starts[1:]
+        return list(self._starts[1:-1])
 
     def sample_flat(self, t: float):
         """(xd, yd, psid, vxd, vyd, rd, axd, ayd) at time t; scalar tuple
-        for the simulation hot path."""
-        if t >= self.end_time or not self.segments:
-            x, y, psi = self._entry_poses[-1]
-            return (x, y, psi, 0.0, 0.0, 0.0, 0.0, 0.0)
-        k = 0
-        for k in range(len(self.segments)):
-            if t < self._starts[k + 1]:
-                break
-        return _segment_sample(self.segments[k], self._entry_poses[k],
-                               t - self._starts[k])
+        for the simulation hot path. The search starts at the segment of
+        the previous call, and from the first one when time goes back."""
+        starts = self._starts
+        i = self._cursor
+        if t < starts[i]:
+            i = 0
+        while t >= starts[i + 1]:
+            i += 1
+        self._cursor = i
+        return self._fns[i](t - starts[i])
 
     def sample(self, t: float) -> ReferenceSample:
         """Reference at time t >= 0; at a joint, the right limit."""

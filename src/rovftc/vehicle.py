@@ -114,6 +114,10 @@ class VehicleParams:
             raise ValueError("B must be strictly positive definite")
         self.inertia_inv = np.linalg.inv(self.inertia)
         self.B_inv = np.linalg.inv(self.B)
+        for name in ("inertia", "B"):
+            if not np.isfinite(getattr(self, f"{name}_inv")).all():
+                raise ValueError(f"{name} is too near singular: its inverse "
+                                 "overflows")
 
 
 def coriolis_vector(nu: np.ndarray, inertia: np.ndarray) -> np.ndarray:

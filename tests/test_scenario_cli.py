@@ -569,6 +569,17 @@ class TestCli:
             assert "rank deficient" in err
 
     @pytest.mark.parametrize("override", [
+        "gains.gamma1=[1e-320,1,1]", "gains.gamma2=[1e-320,100.0,300.0]",
+        "vehicle.inertia=[1e-320,20.0,0.16]", "vehicle.B=[1e-320,0.05,6.25]"])
+    def test_overflowing_hot_path_table_rejected(self, tmp_path, capsys,
+                                                 override):
+        # a gain ratio or an inverse at inf would run as inf, or as NaN
+        # where a zero entry multiplies it
+        for err in self.rejected_by_every_command(
+                "fig3_baseline", tmp_path, capsys, "--override", override):
+            assert "overflows" in err
+
+    @pytest.mark.parametrize("override", [
         "fdi.bogus=1", "bogus.x=1", "faults.x=1", "name=x",
         "trajectory.segments.0=1", "=5", "fdi=3", "fdi.t_s.x=1"])
     def test_override_outside_schema_rejected(self, tmp_path, capsys,

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rovftc import simulation
 from rovftc.allocation import achieved_wrench, allocate
 from rovftc.controller import control_law, error_rate, tracking_errors
 from rovftc.fdi import detection_threshold
@@ -116,6 +117,21 @@ def traced_peak(fn, *args):
 CROSSING_CSV_SHA256 = "3baba17666c37e363e61306f01721db8e1f2112a9357ace7707fcc3cae11348c"
 
 
+#: full, non-diagonal, positive-definite vehicle tables and gains that
+#: differ on every axis: every term of the control kernel then has its own
+#: nonzero constant and is kept. The inertia is symmetric, as it must be;
+#: damping and B are not, so that a transposed entry shows too.
+FULL_TABLES = {
+    "vehicle": {
+        "inertia": [[25.0, 1.5, -0.8], [1.5, 30.0, 0.6], [-0.8, 0.6, 2.0]],
+        "lin_damping": [[0.7, 0.2, -0.1], [0.3, 1.1, 0.15], [-0.05, 0.25, 0.5]],
+        "B": [[0.05, 0.004, -0.002], [0.006, 0.06, 0.003],
+              [-0.001, 0.005, 6.25]]},
+    "gains": {"gamma1": [1.0, 2.0, 0.5], "gamma2": [100.0, 150.0, 300.0],
+              "a1": [1.0, 1.5, 0.8], "a2": [100.0, 120.0, 280.0]},
+}
+
+
 class TestFaultSchedule:
     def test_weight_increase_rejected(self):
         with pytest.raises(ValueError, match="decrease"):
@@ -205,36 +221,67 @@ class TestStep:
             assert np.abs(sim.state - x0).max() < 1e-12
 
     def test_hot_path_matches_public_api(self, rng):
-        sc = make_scenario(sim={"duration": 10.0})
-        sim = Simulation(sc)
-        for _ in range(50):
-            t = float(rng.uniform(0.0, 500.0))
-            s = tuple(rng.normal(0, 1, 6) * np.array([20, 200, 2, 1, 1, 0.5]))
-            sim.bank.w_hat = rng.uniform(0.1, 1.0, 4)
-            sim.bank.w_true = rng.uniform(0.0, 1.0, 4)
-            sim._rebind()
+        # the diagonal defaults, then tables that keep every kernel term
+        for tables in ({}, FULL_TABLES):
+            sc = make_scenario(sim={"duration": 10.0}, **tables)
+            sim = Simulation(sc)
+            for _ in range(50):
+                t = float(rng.uniform(0.0, 500.0))
+                s = tuple(rng.normal(0, 1, 6) * np.array([20, 200, 2, 1, 1, 0.5]))
+                sim.bank.w_hat = rng.uniform(0.1, 1.0, 4)
+                sim.bank.w_true = rng.uniform(0.0, 1.0, 4)
+                sim._rebind()
 
-            state = VehicleState(*s)
-            ref = sc.plan.sample(t)
-            errors = tracking_errors(state, ref, sc.gains)
-            tau_c = control_law(state, ref, errors, sc.gains, sc.params)
-            alloc = allocate(tau_c, sim.bank, sc.geometry)
-            tau = achieved_wrench(alloc.u_cmd, sim.bank, sc.geometry)
-            expected = np.concatenate([kinematics_rhs(state),
-                                       dynamics_rhs(state, tau, sc.params)])
+                state = VehicleState(*s)
+                ref = sc.plan.sample(t)
+                errors = tracking_errors(state, ref, sc.gains)
+                tau_c = control_law(state, ref, errors, sc.gains, sc.params)
+                alloc = allocate(tau_c, sim.bank, sc.geometry)
+                tau = achieved_wrench(alloc.u_cmd, sim.bank, sc.geometry)
+                expected = np.concatenate([kinematics_rhs(state),
+                                           dynamics_rhs(state, tau, sc.params)])
 
-            c = sim._control(s, sc.plan.sample_flat(t))
-            scale = max(1.0, np.abs(tau_c).max())
-            assert np.abs(np.array(c[6:9]) - errors.e_eta).max() < 1e-9
-            assert np.abs(np.array(c[9:12]) - error_rate(state, ref)).max() < 1e-9
-            assert np.abs(np.array(c[12:15]) - errors.e_nu).max() < 1e-9
-            assert np.abs(np.array(c[15:19]) - alloc.u_cmd).max() < 1e-9
-            assert np.abs(np.array(c[19:22]) - tau_c).max() < 1e-9 * scale
-            assert np.abs(np.array(c[22:25]) - tau).max() < 1e-9 * scale
-            assert c[25] == alloc.saturated
-            assert np.abs(np.array(c[:6]) - expected).max() < 1e-9 * scale
-            # the RK4 stage path returns the same derivative, bit for bit
-            assert sim._control(s, sc.plan.sample_flat(t), False) == c[:6]
+                c = sim._control(s, sc.plan.sample_flat(t))
+                scale = max(1.0, np.abs(tau_c).max())
+                assert np.abs(np.array(c[6:9]) - errors.e_eta).max() < 1e-9
+                assert np.abs(np.array(c[9:12]) - error_rate(state, ref)).max() < 1e-9
+                assert np.abs(np.array(c[12:15]) - errors.e_nu).max() < 1e-9
+                assert np.abs(np.array(c[15:19]) - alloc.u_cmd).max() < 1e-9
+                assert np.abs(np.array(c[19:22]) - tau_c).max() < 1e-9 * scale
+                assert np.abs(np.array(c[22:25]) - tau).max() < 1e-9 * scale
+                assert c[25] == alloc.saturated
+                assert np.abs(np.array(c[:6]) - expected).max() < 1e-9 * scale
+                # the RK4 stage path returns the same derivative, bit for bit
+                assert sim._control(s, sc.plan.sample_flat(t), False) == c[:6]
+
+    @pytest.mark.slow
+    def test_kernel_compiled_once_per_run(self, monkeypatch):
+        # fig7_failure rebinds the kernel at each of its fault events and
+        # weight decrements; each rebind binds, none compiles
+        compiled, rebinds = [], []
+
+        def counted_compile(source, filename, mode):
+            compiled.append(filename)
+            return compile(source, filename, mode)
+
+        def counted_rows(*args):
+            rebinds.append(args)
+            return distribution_matrix(*args)
+
+        distribution_matrix = simulation._distribution_matrix
+        monkeypatch.setattr(simulation, "compile", counted_compile, raising=False)
+        monkeypatch.setattr(simulation, "_distribution_matrix", counted_rows)
+        res = Simulation(load_scenario("fig7_failure")).run()
+        assert len(compiled) == 1 and compiled[0].startswith("<rovftc kernel")
+        assert len(rebinds) > 50 and not res.diverged
+
+    def test_kernel_lines_in_traceback(self):
+        sim = Simulation(make_scenario(sim={"duration": 1.0}))
+        with pytest.raises(ValueError) as info:  # too few state entries
+            sim._control((0.0,) * 5, sim.plan.sample_flat(0.0))
+        frame = info.traceback[-1]
+        assert frame.path.startswith("<rovftc kernel")
+        assert str(frame.statement).strip() == "X, Y, psi, u, v, r = s"
 
     def test_boundary_snapshot_is_rk4_k1(self):
         cfg = crossing_cfg()
@@ -310,6 +357,19 @@ class TestStep:
         assert res.diverged
         assert res.diverged_time is not None
         assert res.summary["diverged"]
+
+    def test_overflowing_stage_yaw_ends_the_step_as_divergence(self):
+        # from r = 1e300 the k2 yaw rate, and so the k3 yaw, reach -inf,
+        # where math.cos and math.fmod raise
+        sim = Simulation(make_scenario(sim={
+            "duration": 1.0, "initial_state": [0.0, 0.0, 0.0, 0.0, 0.0, 1e300]}))
+        s0 = sim._s
+        row = sim._cycle()
+        assert sim.k == 1 and sim.diverged_time == sim.dt and sim._s == s0
+        u1 = COLUMNS.index("u1")
+        assert row[u1:u1 + 4] == (-1.0, 1.0, 1.0, -1.0)
+        with pytest.raises(RuntimeError, match="diverged"):
+            sim.step()
 
     def test_step_past_end_raises(self):
         sc = make_scenario(sim={"duration": 0.02})

@@ -1,9 +1,12 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rovftc.simulation import step_index
+from rovftc.scenario import list_presets, load_scenario
+from rovftc.simulation import Simulation, step_index
 from rovftc.trajectory import Segment, TrajectoryPlan
 
 HALF_PI = math.pi / 2
@@ -112,3 +115,37 @@ class TestSegments:
         plan = TrajectoryPlan([1.0, -1.0, 0.5], [])
         ref = plan.sample(100.0)
         assert np.allclose(ref.eta_d, [1.0, -1.0, 0.5])
+
+
+#: every segment mode, a joint between two turns, and a hold past the end
+MIXED_PLAN = TrajectoryPlan([1.0, -2.0, 0.3], [
+    Segment("straight", 40.0, speed=1.2, heading=0.3),
+    Segment("turn", 25.0, speed=0.8, yaw_rate=0.04),
+    Segment("turn", 30.0, speed=-0.5, yaw_rate=-0.1),
+    Segment("hold", 10.0),
+    Segment("straight", 35.0, speed=-1.0, heading=2.0),
+])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.lists(st.one_of(st.floats(0.0, 200.0),
+                          st.sampled_from(MIXED_PLAN.joint_times)),
+                min_size=1, max_size=40))
+def test_sample_order_is_invisible(times):
+    # the segment cursor only shortens the search: any order of calls
+    # gives each time the answer of a plan that has never been sampled
+    for t in times:
+        fresh = TrajectoryPlan(MIXED_PLAN.initial_pose, MIXED_PLAN.segments)
+        assert MIXED_PLAN.sample_flat(t) == fresh.sample_flat(t)
+
+
+@pytest.mark.parametrize("name", list_presets())
+def test_scenario_pickle_round_trip(name):
+    # `rovftc batch` pickles each scenario into its worker pool
+    sc = load_scenario(name)
+    copy = pickle.loads(pickle.dumps(sc))
+    joints = [0.0, *sc.plan.joint_times]
+    times = joints + [(a + b) / 2 for a, b in zip(joints, joints[1:])]
+    for t in times + [joints[-1] + 1.0]:
+        assert copy.plan.sample_flat(t) == sc.plan.sample_flat(t)
+    assert Simulation(copy).step() == Simulation(sc).step()
