@@ -64,13 +64,13 @@ def _run_one(scenario: Scenario, out_dir: Path, overrides):
 
 
 def _run_member(out_dir: Path, overrides, scenario: Scenario):
-    """Batch pool worker: run one member and write its files. Returns
-    (summary, diverged), or the OSError that stopped it."""
+    """Batch pool worker: run one member and write its files. Returns its
+    summary, or the OSError that stopped it."""
     try:
         result, *_ = _run_one(scenario, out_dir, overrides)
     except OSError as exc:
         return exc
-    return result.summary, result.diverged
+    return result.summary
 
 
 def _cmd_run(args) -> int:
@@ -127,16 +127,15 @@ def _cmd_batch(args) -> int:
             "fork" if fork else None)) as pool:
         outcomes = list(pool.map(partial(_run_member, Path(args.out),
                                          args.override), scenarios))
-    for ref, outcome in zip(args.scenarios, outcomes):
-        if isinstance(outcome, OSError):
-            rows.append(f"{ref:24s} i/o failure: {outcome}")
+    for ref, s in zip(args.scenarios, outcomes):
+        if isinstance(s, OSError):
+            rows.append(f"{ref:24s} i/o failure: {s}")
             worst = max(worst, EXIT_IO)
             continue
-        s, diverged = outcome
         idents = ",".join(str(i) for _, i in s["identifications"]) or "-"
         w_err = max((e["w_hat_error"] for e in s["events"]), default=0.0)
-        status = "diverged" if diverged else "ok"
-        if diverged:
+        status = "diverged" if s["diverged"] else "ok"
+        if s["diverged"]:
             worst = max(worst, EXIT_DIVERGENCE)
         rows.append(f"{s['scenario']:24s} {s['trigger_count']:>10d} "
                     f"{idents:>12s} {w_err:>11.3f} "

@@ -41,12 +41,11 @@ class FdiConfig:
     delta_w: float = 0.05    # weight decrement per update
     eps_u: float = 0.005     # command dead-band for sign prediction
     eps_g: float = 0.1       # geometric-factor dead-band
-    w_min: float = 0.05      # weight estimate floor
     n_consec: int = 5        # consecutive samples above threshold to trigger
 
     def __post_init__(self):
         positive = ("c1", "c2", "delta1", "delta2", "t_s",
-                    "delta_w", "eps_u", "eps_g", "w_min")
+                    "delta_w", "eps_u", "eps_g")
         for name in positive:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
@@ -136,11 +135,12 @@ def identify_fault(e_eta_dot, u_cmd, psi: float, cfg: FdiConfig,
     return None
 
 
-def reconfigure_step(w_hat, fault_num: int, cfg: FdiConfig) -> np.ndarray:
+def reconfigure_step(w_hat, fault_num: int, cfg: FdiConfig,
+                     w_min: float) -> np.ndarray:
     """Decrease the identified thruster's weight estimate by delta_w,
-    clamped at the floor; other entries untouched."""
+    clamped at the bank's floor w_min; other entries untouched."""
     w = np.array(w_hat, dtype=float)
-    w[fault_num - 1] = max(cfg.w_min, w[fault_num - 1] - cfg.delta_w)
+    w[fault_num - 1] = max(w_min, w[fault_num - 1] - cfg.delta_w)
     return w
 
 

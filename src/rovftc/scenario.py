@@ -211,12 +211,13 @@ def scenario_from_dict(config: dict, name: str = "scenario") -> Scenario:
                             for key in ("vehicle", "gains", "fdi", "sim"))
     traj = _mapping(cfg["trajectory"], "trajectory", defaults["trajectory"])
 
+    w_min = fdi_cfg.pop("w_min")  # the bank holds the one weight floor
     fdi = _built("fdi", FdiConfig, **fdi_cfg)
     params = _built("vehicle", VehicleParams, veh["inertia"],
                     veh["lin_damping"], veh["quad_damping"], veh["B"])
     geom = _built("vehicle geometry", ThrusterGeometry, veh["alpha"], veh["l"])
     bank = _built("vehicle thrusters", ThrusterBank, veh["K"],
-                  u_max=veh["u_max"], w_min=fdi.w_min)
+                  u_max=veh["u_max"], w_min=w_min)
     gains = _built("gains", ControllerGains, **g)
 
     segments = []

@@ -141,7 +141,7 @@ class Scenario:
     dt: float = 0.01
     duration: float = 600.0
     decimation: int = 10
-    initial_state: np.ndarray = None
+    initial_state: np.ndarray = field(default_factory=lambda: np.zeros(6))
     # in steps, from the fields above; the last step starts at (n_steps - 1) * dt
     n_steps: int = field(init=False)
     update_steps: int = field(init=False)   # fdi.t_s
@@ -159,9 +159,6 @@ class Scenario:
             raise ValueError("duration must be positive and finite")
         if self.decimation < 1:
             raise ValueError("decimation must be at least 1")
-        if self.bank.w_min != self.fdi.w_min:  # an estimate at the floor is failed
-            raise ValueError(f"thruster floor w_min = {self.bank.w_min} is not "
-                             f"fdi.w_min = {self.fdi.w_min}")
         dt, events = self.dt, self.schedule.events
         spans = {"duration": self.duration, "fdi.t_s": self.fdi.t_s,
                  "fdi.joint_hold": self.fdi.joint_hold}
@@ -182,8 +179,6 @@ class Scenario:
             if abs(span - steps[key] * dt) > TIME_TOL:
                 raise ValueError(f"{key} = {span} s is not a whole number of "
                                  f"steps of dt = {dt} s")
-        if self.initial_state is None:
-            self.initial_state = np.zeros(6)
         self.initial_state = np.asarray(self.initial_state, dtype=float)
         if self.initial_state.shape != (6,):
             raise ValueError("initial_state must have 6 entries")
@@ -204,11 +199,15 @@ class Scenario:
 @dataclass
 class SimResult:
     name: str
-    columns: tuple
     rows: np.ndarray
     summary: dict
-    diverged: bool = False
-    diverged_time: float | None = None
+    diverged_time: float | None = None  # set when the run left the limits
+
+    columns = COLUMNS
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_time is not None
 
     def column(self, name: str) -> np.ndarray:
         return self.rows[:, COLUMNS.index(name)]
@@ -359,10 +358,7 @@ class Simulation:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.params = scenario.params
-        self.geom = scenario.geometry
         self.bank = scenario.bank.copy()
-        self.gains = scenario.gains
         self.plan = scenario.plan
         self.engine = FdiEngine(scenario.fdi, scenario.geometry,
                                 scenario.update_steps, scenario.hold_steps)
@@ -378,8 +374,8 @@ class Simulation:
         self._events = scenario.schedule.events
         self._event_steps = (*scenario.event_steps, self.n_steps + 1)  # last: never due
         self._joint_steps = frozenset(scenario.joint_steps)
-        self._g1 = tuple(self.gains.gamma1.tolist())
-        self._g2 = tuple(self.gains.gamma2.tolist())
+        self._g1 = tuple(scenario.gains.gamma1.tolist())
+        self._g2 = tuple(scenario.gains.gamma2.tolist())
         self._k_bad = -1  # running summary: last boundary with |e_eta| > 0.05
         self._max_res = self._max_res_armed = 0.0
         self._win_above = [None] * (len(self._events) + 1)  # last k above, per window
@@ -398,7 +394,7 @@ class Simulation:
         weights and estimates, with allocation rows for the active set."""
         bank = self.bank
         active = ~bank.failed_mask()
-        rows = (_distribution_matrix(self.geom, active)
+        rows = (_distribution_matrix(self.scenario.geometry, active)
                 / np.where(active, bank.K * bank.w_hat, 1.0)[:, None])
         self._control = self.scenario.kernel(*rows.ravel().tolist(),
                                              *(bank.K * bank.w_true).tolist())
@@ -424,7 +420,7 @@ class Simulation:
                                  self.k in self._joint_steps)
         if due is not None:
             self.bank.w_hat = reconfigure_step(self.bank.w_hat, due,
-                                               self.engine.cfg)
+                                               self.engine.cfg, self.bank.w_min)
             self._rebind()
             c = self._control(s, ref)  # commands the plant will now receive
         if c[25]:
@@ -520,9 +516,8 @@ class Simulation:
             if row is not None:
                 rows.extend(row)
         summary = self._build_summary(time.perf_counter() - started)
-        return SimResult(sc.name, COLUMNS,
-                         np.frombuffer(rows).reshape(-1, len(COLUMNS)), summary,
-                         self.diverged_time is not None, self.diverged_time)
+        return SimResult(sc.name, np.frombuffer(rows).reshape(-1, len(COLUMNS)),
+                         summary, self.diverged_time)
 
     # -- summary ----------------------------------------------------------
 

@@ -7,6 +7,7 @@ the simulation opens the detection threshold's hold window.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,15 +87,17 @@ class TrajectoryPlan:
         starts = [0.0]
         fns = []
         pose = self.initial_pose
-        for seg in self.segments:
+        for i, seg in enumerate(self.segments):
+            if seg.mode == "turn" and not math.isfinite(
+                    pose[2] + seg.yaw_rate * seg.duration):  # the yaw at its end
+                raise ValueError(f"segment {i}: the end yaw is not finite "
+                                 f"(yaw_rate = {seg.yaw_rate})")
             fns.append(_segment_fn(seg, pose))
             starts.append(starts[-1] + seg.duration)
             pose = fns[-1](seg.duration)[:3]
         fns.append(_segment_fn(Segment("hold", math.inf), pose))
-        self.end_time = starts[-1]
         self._starts = (*starts, math.inf)  # segment i spans starts[i:i + 2]
         self._fns = tuple(fns)              # the last one holds the end pose
-        self._cursor = 0                    # the segment of the last sample
 
     def __reduce__(self):
         # the segment functions are closures; a copy builds its own
@@ -108,16 +111,10 @@ class TrajectoryPlan:
 
     def sample_flat(self, t: float):
         """(xd, yd, psid, vxd, vyd, rd, axd, ayd) at time t; scalar tuple
-        for the simulation hot path. The search starts at the segment of
-        the previous call, and from the first one when time goes back."""
-        starts = self._starts
-        i = self._cursor
-        if t < starts[i]:
-            i = 0
-        while t >= starts[i + 1]:
-            i += 1
-        self._cursor = i
-        return self._fns[i](t - starts[i])
+        for the simulation hot path. A joint gets the segment it opens, a
+        time before 0 the first one."""
+        i = bisect_right(self._starts, t, 1) - 1
+        return self._fns[i](t - self._starts[i])
 
     def sample(self, t: float) -> ReferenceSample:
         """Reference at time t >= 0; at a joint, the right limit."""

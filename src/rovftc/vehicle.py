@@ -108,8 +108,9 @@ class VehicleParams:
             raise ValueError("inertia must be symmetric")
         if not positive_definite(self.inertia):
             raise ValueError("inertia must be positive definite")
-        # strict positive definiteness of B via its symmetric part
-        sym_b = 0.5 * (self.B + self.B.T)
+        # B strictly positive definite via its symmetric part; halving first
+        # keeps the sum of two finite entries finite
+        sym_b = 0.5 * self.B + 0.5 * self.B.T
         if not positive_definite(sym_b):
             raise ValueError("B must be strictly positive definite")
         self.inertia_inv = np.linalg.inv(self.inertia)
@@ -184,7 +185,10 @@ def pseudo_inverse(t_conf: np.ndarray) -> np.ndarray:
     when its smallest eigenvalue exceeds tol, that is when T T^T - tol I
     is positive definite."""
     t_conf = np.asarray(t_conf, dtype=float)
-    gram = t_conf @ t_conf.T
+    with np.errstate(over="ignore"):
+        gram = t_conf @ t_conf.T
+    if np.isinf(gram).any():  # a NaN entry is left to the rank test
+        raise ValueError("configuration matrix too large: T T^T overflows")
     tol = 1e-10 * max(1.0, np.abs(gram).max())
     if not positive_definite(gram - tol * np.eye(3)):
         raise ValueError("configuration matrix is rank deficient; "
@@ -215,33 +219,33 @@ class ThrusterBank:
 
     W_i = 1 healthy, 0 < W_i < 1 faulty, W_i = 0 failed. The estimate
     w_hat is floored at w_min so it stays invertible; an estimate at the
-    floor marks the thruster as failed.
+    floor marks the thruster as failed. It is the scenario key fdi.w_min.
     """
 
     K: np.ndarray                  # N per unit command, 4 entries
-    w_true: np.ndarray = None      # true weights, in [0, 1]
-    w_hat: np.ndarray = None       # estimated weights, in [w_min, 1]
+    w_true: np.ndarray = field(default_factory=lambda: np.ones(4))  # in [0, 1]
+    w_hat: np.ndarray = field(default_factory=lambda: np.ones(4))   # in [w_min, 1]
     u_max: float = 1.0             # command saturation
     w_min: float = 0.05            # floor on the estimate
 
     def __post_init__(self):
+        if not (0.0 < self.w_min < 1.0):
+            raise ValueError(f"fdi.w_min = {self.w_min} must lie in (0, 1)")
         self.K = np.asarray(self.K, dtype=float)
         if self.K.shape != (4,):
             raise ValueError("K must have 4 entries")
         if np.any(self.K <= 0.0):
             raise ValueError("thrust coefficients must be positive")
-        if self.w_true is None:
-            self.w_true = np.ones(4)
-        if self.w_hat is None:
-            self.w_hat = np.ones(4)
+        with np.errstate(over="ignore", divide="ignore"):
+            inverse = 1.0 / (self.K * self.w_min)  # allocation rows divide by K w_hat
+        if not np.isfinite(inverse).all():
+            raise ValueError("vehicle.K too small: 1 / (K_i * fdi.w_min) overflows")
         self.w_true = np.asarray(self.w_true, dtype=float)
         self.w_hat = np.asarray(self.w_hat, dtype=float)
         if np.any(self.w_true < 0.0) or np.any(self.w_true > 1.0):
             raise ValueError("true weights must lie in [0, 1]")
         if np.any(self.w_hat < self.w_min - 1e-12) or np.any(self.w_hat > 1.0):
             raise ValueError("weight estimates must lie in [w_min, 1]")
-        if not (0.0 < self.w_min < 1.0):
-            raise ValueError("w_min must lie in (0, 1)")
         if self.u_max <= 0.0:
             raise ValueError("u_max must be positive")
 

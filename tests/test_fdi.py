@@ -157,17 +157,20 @@ class TestIdentify:
 
 
 class TestReconfigure:
+    W_MIN = 0.05  # the thruster bank's floor at the defaults
+
     def test_single_decrement(self, fdi_cfg):
-        out = reconfigure_step(np.ones(4), 3, fdi_cfg)
+        out = reconfigure_step(np.ones(4), 3, fdi_cfg, self.W_MIN)
         assert np.allclose(out, [1.0, 1.0, 0.95, 1.0])
 
     def test_floor_clamp(self, fdi_cfg):
-        out = reconfigure_step(np.array([1.0, 1.0, 0.07, 1.0]), 3, fdi_cfg)
-        assert out[2] == pytest.approx(fdi_cfg.w_min)
+        out = reconfigure_step(np.array([1.0, 1.0, 0.07, 1.0]), 3, fdi_cfg,
+                               self.W_MIN)
+        assert out[2] == pytest.approx(self.W_MIN)
 
     def test_other_entries_untouched(self, fdi_cfg, rng):
         w = rng.uniform(0.2, 1.0, 4)
-        out = reconfigure_step(w, 2, fdi_cfg)
+        out = reconfigure_step(w, 2, fdi_cfg, self.W_MIN)
         assert np.allclose(np.delete(out, 1), np.delete(w, 1))
 
 

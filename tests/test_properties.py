@@ -1,7 +1,8 @@
 """Property tests over the paper's reconfiguration invariants: short runs
 that cross one or two random faults, with random update period and
-decrement; and over the rule that turns an instant into a step index.
-Examples are derandomized, so the suite stays deterministic."""
+decrement; over its isolation rule, on straight legs at random heading;
+and over the rule that turns an instant into a step index. Examples are
+derandomized, so the suite stays deterministic."""
 
 import math
 
@@ -60,7 +61,7 @@ def test_estimates_never_rise_and_stay_above_floor(cfg):
     for sim, before, _ in stepped(cfg):
         w_hat = sim.bank.w_hat
         assert np.all(w_hat <= before), (sim.k, before, w_hat)
-        assert np.all(w_hat >= sim.engine.cfg.w_min), (sim.k, w_hat)
+        assert np.all(w_hat >= sim.bank.w_min), (sim.k, w_hat)
 
 
 @PROPERTY
@@ -84,6 +85,33 @@ def test_step_rows_equal_run_rows(cfg):
     kept = np.concatenate([np.array(rows[::dec]), sim.run().rows])
     plain = Simulation(scenario_from_dict(cfg, name="prop")).run()
     assert kept.tobytes() == plain.rows.tobytes()
+
+
+@st.composite
+def straight_leg_faults(draw):
+    """16 s on a straight leg at heading k pi/8 and speed +-1, starting on
+    the reference with no settle time, as in table1_case*: one thruster
+    drops to weight 0.3 or 0.6 at 6 s."""
+    heading = draw(st.integers(0, 15)) * math.pi / 8
+    speed = draw(st.sampled_from([1.0, -1.0]))
+    return {
+        "sim": {"duration": 16.0, "settle_time": 0.0,
+                "initial_state": [0.0, 0.0, heading, speed, 0.0, 0.0]},
+        "trajectory": {"initial_pose": [0.0, 0.0, heading],
+                       "segments": [{"mode": "straight", "duration": 16.0,
+                                     "speed": speed, "heading": heading}]},
+        "faults": [{"time": 6.0, "thruster": draw(st.integers(1, 4)),
+                    "weight": draw(st.sampled_from([0.3, 0.6]))}],
+    }
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=16)
+@given(straight_leg_faults())
+def test_never_misidentified(cfg):
+    # a fault may go unidentified, but never blamed on another thruster
+    summary = Simulation(scenario_from_dict(cfg, name="prop")).run().summary
+    for event in summary["events"]:
+        assert event["identified"] in (event["thruster"], None), event
 
 
 @st.composite

@@ -1,11 +1,17 @@
+import contextlib
+import copy
+import io
+import json
 import math
 import multiprocessing
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from rovftc import scenario
 from rovftc.cli import main
@@ -579,6 +585,20 @@ class TestCli:
                 "fig3_baseline", tmp_path, capsys, "--override", override):
             assert "overflows" in err
 
+    @pytest.mark.parametrize("override, named", [
+        ("vehicle.K=[1e-320,40,40,40]", "vehicle.K too small"),
+        ("vehicle.l=1e308", "T T^T overflows"),
+        ("fdi.w_min=0", "fdi.w_min = 0.0 must lie in (0, 1)"),
+        ("fdi.w_min=1.5", "fdi.w_min = 1.5 must lie in (0, 1)"),
+        ("trajectory.segments=[{mode: turn, duration: 10, speed: 1, "
+         "yaw_rate: 1e308}]",
+         "segment 0: the end yaw is not finite (yaw_rate = 1e+308)")])
+    def test_rejection_names_the_value(self, tmp_path, capsys, override,
+                                       named):
+        for err in self.rejected_by_every_command(
+                "fig3_baseline", tmp_path, capsys, "--override", override):
+            assert named in err
+
     @pytest.mark.parametrize("override", [
         "fdi.bogus=1", "bogus.x=1", "faults.x=1", "name=x",
         "trajectory.segments.0=1", "=5", "fdi=3", "fdi.t_s.x=1"])
@@ -611,3 +631,60 @@ class TestCli:
         monkeypatch.setattr(scenario, "open", refuse, raising=False)
         for err in self.rejected_by_every_command(path, tmp_path, capsys):
             assert "cannot read scenario" in err
+
+
+
+def numeric_leaves(node, path=()):
+    """The paths to the numeric leaves of `node`; of a list, only the
+    first entry is entered."""
+    if isinstance(node, dict):
+        for key, val in node.items():
+            yield from numeric_leaves(val, (*path, key))
+    elif isinstance(node, list):
+        yield from numeric_leaves(node[0], (*path, 0)) if node else ()
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+def hostile_override(path, value) -> str:
+    """`section.key=...` that sets the leaf at `path` of defaults.yaml to
+    `value` and keeps every other entry of that key at its default."""
+    section, key, *rest = path
+    tree = {key: copy.deepcopy(_DEFAULTS[section][key])}
+    node, last = tree, key
+    for part in rest:
+        node, last = node[last], part
+    node[last] = value
+    return f"{section}.{key}={json.dumps(tree[key])}"
+
+
+HOSTILE = [hostile_override(path, value) for path in numeric_leaves(_DEFAULTS)
+           for value in (1e-320, 1e308, -1.0, 0.0)]
+
+
+def quiet_main(argv):
+    """(exit code, everything printed) of `main(argv)`, in process."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+        code = main(argv)
+    return code, printed.getvalue()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.sampled_from(HOSTILE))
+@example("vehicle.K=[1e-320,40,40,40]")
+@example("trajectory.segments=[{mode: turn, duration: 10, speed: 1, "
+         "yaw_rate: 1e308}]")
+@example("vehicle.l=1e308")
+@example("vehicle.B=[1e308, 0.05, 6.25]")
+def test_hostile_leaf_keeps_the_exit_code_contract(override):
+    # in process, so the suite's filterwarnings = error turns a numpy
+    # overflow warning into a failure here
+    argv = ["fig3_baseline", "--override", "sim.duration=0.05",
+            "--override", override]
+    with tempfile.TemporaryDirectory() as out:
+        checked, said = quiet_main(["validate", *argv])
+        ran, told = quiet_main(["run", *argv, "--out", out])
+    assert {checked, ran} <= {0, 2, 3, 4}
+    assert "Traceback" not in said + told
+    assert (checked == 2) == (ran == 2), (checked, ran)

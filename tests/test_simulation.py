@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -9,7 +8,7 @@ import pytest
 from rovftc import simulation
 from rovftc.allocation import achieved_wrench, allocate
 from rovftc.controller import control_law, error_rate, tracking_errors
-from rovftc.fdi import detection_threshold
+from rovftc.fdi import FdiConfig, detection_threshold
 from rovftc.scenario import load_scenario, scenario_from_dict
 from rovftc.simulation import COLUMNS, TIME_TOL, FaultSchedule, Simulation
 from rovftc.vehicle import VehicleState, dynamics_rhs, kinematics_rhs
@@ -175,14 +174,13 @@ class TestFaultSchedule:
 
 
 def test_weight_floors_must_agree():
-    # a thruster counts as failed at the bank's floor; an estimate clamped
-    # at a higher fdi floor would never get there
-    sc = load_scenario("fig7_failure", [
-        "faults=[{time: 100.0, thruster: 2, weight: 0.0}]", "sim.duration=270.0"])
-    with pytest.raises(ValueError, match="w_min"):
-        dataclasses.replace(sc, fdi=dataclasses.replace(sc.fdi, w_min=0.1))
-    both = load_scenario("fig7_failure", ["fdi.w_min=0.1"])
-    assert both.bank.w_min == both.fdi.w_min == 0.1
+    # a thruster counts as failed at the bank's floor, and the estimate is
+    # clamped at that same floor: the bank holds the only one, fdi.w_min
+    sc = load_scenario("fig7_failure", ["fdi.w_min=0.1"])
+    assert sc.bank.w_min == 0.1
+    assert not hasattr(sc.fdi, "w_min")
+    with pytest.raises(TypeError):
+        FdiConfig(w_min=0.1)
 
 
 def test_setup_calls_no_eigen_or_svd_routine(monkeypatch):
