@@ -12,8 +12,7 @@ from .fdi import (FdiConfig, FdiEngine, FdiState, detection_threshold,
                   residual)
 from .scenario import (ScenarioError, list_presets, load_scenario,
                        scenario_from_dict, validate_scenario)
-from .simulation import (COLUMNS, FaultEvent, FaultSchedule, Scenario,
-                         SimResult, Simulation)
+from .simulation import COLUMNS, FaultEvent, Scenario, SimResult, Simulation
 from .trajectory import Segment, TrajectoryPlan
 from .vehicle import (ThrusterBank, ThrusterGeometry, VehicleParams,
                       VehicleState, config_matrix, dynamics_rhs, eval_fv,

@@ -102,11 +102,10 @@ def stabilization_derivative(ref: ReferenceSample, state: VehicleState,
     supplied derivatives are right limits, so the result is the
     right-hand derivative there.
     """
-    e_eta = np.asarray(e_eta, dtype=float)
     j_inv = rotation_matrix(state.psi).T
     k1 = gains.a1 / gains.gamma1
     e_dot = error_rate(state, ref)
-    alpha = j_inv @ (ref.eta_d_dot + k1 * e_eta)
+    alpha = stabilization_function(ref, e_eta, state.psi, gains)
     # -J^-1 Jdot J^-1 w reduces to -r * SPIN @ alpha for a planar rotation
     return j_inv @ (ref.eta_d_ddot + k1 * e_dot) - state.r * (SPIN @ alpha)
 

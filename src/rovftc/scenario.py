@@ -22,7 +22,7 @@ import yaml
 
 from .controller import ControllerGains
 from .fdi import FdiConfig
-from .simulation import FaultSchedule, Scenario
+from .simulation import FaultEvent, Scenario
 from .trajectory import Segment, TrajectoryPlan
 from .vehicle import ThrusterBank, ThrusterGeometry, VehicleParams
 
@@ -236,15 +236,14 @@ def scenario_from_dict(config: dict, name: str = "scenario") -> Scenario:
 
     events = [_mapping(ev, f"faults[{i}]", ("time", "thruster", "weight"))
               for i, ev in enumerate(_list(cfg.get("faults"), "faults"))]
-    schedule = _built("faults", FaultSchedule, [
-        (_number(ev.get("time"), f"faults[{i}].time"),
-         _count(ev.get("thruster"), f"faults[{i}].thruster"),
-         _number(ev.get("weight"), f"faults[{i}].weight"))
-        for i, ev in enumerate(events)], settle_time=sim.pop("settle_time"))
+    faults = tuple(FaultEvent(_number(ev.get("time"), f"faults[{i}].time"),
+                              _count(ev.get("thruster"), f"faults[{i}].thruster"),
+                              _number(ev.get("weight"), f"faults[{i}].weight"))
+                   for i, ev in enumerate(events))
 
     return _built("sim", Scenario, name=name, params=params, geometry=geom,
-                  bank=bank, gains=gains, fdi=fdi, plan=plan,
-                  schedule=schedule, **sim)
+                  bank=bank, gains=gains, fdi=fdi, plan=plan, faults=faults,
+                  **sim)
 
 
 def load_scenario(ref: str, overrides: list[str] | None = None) -> Scenario:

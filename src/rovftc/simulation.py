@@ -38,7 +38,7 @@ import math
 import re
 import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -77,45 +77,6 @@ class FaultEvent(NamedTuple):
     weight: float    # new true weight, in [0, 1]
 
 
-@dataclass
-class FaultSchedule:
-    """Timed step changes of the true fault weights.
-
-    Validation enforces the standing assumptions: events strictly ordered
-    in time (one thruster at a time), weights only ever reduced, and the
-    first event late enough for the tracking loop to have settled.
-    """
-
-    events: list = field(default_factory=list)
-    settle_time: float = 50.0  # earliest admissible fault time, s
-
-    def __post_init__(self):
-        self.events = [FaultEvent(float(t), int(i), float(w))
-                       for t, i, w in self.events]
-        current = {i: 1.0 for i in range(1, 5)}
-        prev_time = None
-        for ev in self.events:
-            if ev.thruster not in (1, 2, 3, 4):
-                raise ValueError(f"fault event at t={ev.time}: thruster index "
-                                 f"{ev.thruster} outside 1..4")
-            if not 0.0 <= ev.weight <= 1.0:
-                raise ValueError(f"fault event at t={ev.time}: weight "
-                                 f"{ev.weight} outside [0, 1]")
-            if prev_time is not None and ev.time <= prev_time:
-                raise ValueError(f"fault event at t={ev.time}: times must be "
-                                 "strictly increasing (one fault at a time)")
-            if ev.time < self.settle_time:
-                raise ValueError(f"fault event at t={ev.time}: before the "
-                                 f"settle time {self.settle_time} s, the "
-                                 "tracking loop may not have stabilized")
-            if ev.weight >= current[ev.thruster]:
-                raise ValueError(f"fault event at t={ev.time}: weight of "
-                                 f"thruster {ev.thruster} must decrease "
-                                 f"(currently {current[ev.thruster]})")
-            current[ev.thruster] = ev.weight
-            prev_time = ev.time
-
-
 def step_index(t: float, dt: float) -> int:
     """The step at which the instant t acts: the smallest k >= 0 with
     t <= k * dt + TIME_TOL, or MAX_STEPS + 1 past MAX_STEPS steps."""
@@ -128,7 +89,11 @@ def step_index(t: float, dt: float) -> int:
 
 @dataclass
 class Scenario:
-    """Everything one closed-loop run needs."""
+    """Everything one closed-loop run needs. The constructor enforces the
+    standing fault assumptions: thrusters 1..4, weights in [0, 1] that
+    only ever fall, one thruster at a time (events strictly ordered in
+    time), the first event after the tracking loop has settled, and the
+    last one early enough to act on the plant."""
 
     name: str
     params: VehicleParams
@@ -137,11 +102,12 @@ class Scenario:
     gains: ControllerGains
     fdi: FdiConfig
     plan: TrajectoryPlan
-    schedule: FaultSchedule
-    dt: float = 0.01
-    duration: float = 600.0
-    decimation: int = 10
-    initial_state: np.ndarray = field(default_factory=lambda: np.zeros(6))
+    faults: tuple  # FaultEvents, in time order
+    dt: float
+    duration: float
+    decimation: int
+    initial_state: np.ndarray
+    settle_time: float  # earliest admissible fault time, s
     # in steps, from the fields above; the last step starts at (n_steps - 1) * dt
     n_steps: int = field(init=False)
     update_steps: int = field(init=False)   # fdi.t_s
@@ -153,13 +119,34 @@ class Scenario:
     kernel: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        current, prev_time = dict.fromkeys((1, 2, 3, 4), 1.0), -math.inf
+        for ev in self.faults:
+            if ev.thruster not in current:
+                raise ValueError(f"fault event at t={ev.time}: thruster index "
+                                 f"{ev.thruster} outside 1..4")
+            if not 0.0 <= ev.weight <= 1.0:
+                raise ValueError(f"fault event at t={ev.time}: weight "
+                                 f"{ev.weight} outside [0, 1]")
+            if ev.time <= prev_time:
+                raise ValueError(f"fault event at t={ev.time}: times must be "
+                                 "strictly increasing (one fault at a time)")
+            if ev.time < self.settle_time:
+                raise ValueError(f"fault event at t={ev.time}: before the "
+                                 f"settle time {self.settle_time} s, the "
+                                 "tracking loop may not have stabilized")
+            if ev.weight >= current[ev.thruster]:
+                raise ValueError(f"fault event at t={ev.time}: weight of "
+                                 f"thruster {ev.thruster} must decrease "
+                                 f"(currently {current[ev.thruster]})")
+            current[ev.thruster] = ev.weight
+            prev_time = ev.time
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError("dt must be positive and finite")
         if not (math.isfinite(self.duration) and self.duration > 0.0):
             raise ValueError("duration must be positive and finite")
         if self.decimation < 1:
             raise ValueError("decimation must be at least 1")
-        dt, events = self.dt, self.schedule.events
+        dt, events = self.dt, self.faults
         spans = {"duration": self.duration, "fdi.t_s": self.fdi.t_s,
                  "fdi.joint_hold": self.fdi.joint_hold}
         steps = {key: round(min(span / dt, MAX_STEPS)) for key, span in spans.items()}
@@ -185,15 +172,10 @@ class Scenario:
         self.kernel = _kernel(self.params, self.gains, self.geometry,
                               self.bank.u_max)
 
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        del state["kernel"]  # compiled code; a copy compiles its own
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.kernel = _kernel(self.params, self.gains, self.geometry,
-                              self.bank.u_max)
+    def __reduce__(self):
+        # the kernel is compiled code: a copy is built, checked and
+        # compiled again by the constructor, as at load
+        return Scenario, tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 @dataclass
@@ -371,7 +353,7 @@ class Simulation:
         self.diverged_time = None  # set by the step that leaves the limits
         self.saturation_steps = 0
         self._event_idx = 0  # events applied; also the open fault window
-        self._events = scenario.schedule.events
+        self._events = scenario.faults
         self._event_steps = (*scenario.event_steps, self.n_steps + 1)  # last: never due
         self._joint_steps = frozenset(scenario.joint_steps)
         self._g1 = tuple(scenario.gains.gamma1.tolist())

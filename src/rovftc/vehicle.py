@@ -40,6 +40,18 @@ def positive_definite(m) -> bool:
     return f - c * c / a - e2 * e2 / d2 > 0.0
 
 
+def positive_semidefinite(m) -> bool:
+    """Whether the symmetric 3x3 matrix `m` is positive semidefinite, read
+    from its upper triangle: all seven principal minors non-negative (the
+    three leading ones do not decide it), in plain floats. A NaN entry or
+    an overflowing minor fails."""
+    a, b, c = (float(x) for x in m[0])
+    d, e, f = float(m[1][1]), float(m[1][2]), float(m[2][2])
+    minors = (a, d, f, a * d - b * b, a * f - c * c, d * f - e * e,
+              a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d))
+    return all(x >= 0.0 for x in minors)
+
+
 def rotation_matrix(psi: float) -> np.ndarray:
     """Body-to-navigation rotation about the vertical axis.
 
@@ -83,8 +95,9 @@ class VehicleParams:
     matrix mapping wrench to acceleration.
 
     The three matrices may be given as their 3 diagonal entries. inertia
-    must be symmetric positive definite and B strictly positive definite;
-    violations raise at construction time.
+    must be symmetric positive definite, B strictly positive definite, the
+    symmetric part of lin_damping positive semidefinite and quad_damping
+    non-negative; violations raise at construction time.
     """
 
     inertia: np.ndarray       # 3x3, kg / kg m^2
@@ -113,6 +126,12 @@ class VehicleParams:
         sym_b = 0.5 * self.B + 0.5 * self.B.T
         if not positive_definite(sym_b):
             raise ValueError("B must be strictly positive definite")
+        # dissipative damping: nu' D(nu) nu >= 0 for every nu
+        if not positive_semidefinite(0.5 * self.lin_damping + 0.5 * self.lin_damping.T):
+            raise ValueError("lin_damping must be positive semidefinite "
+                             "(its symmetric part), or the plant gains energy")
+        if not (self.quad_damping >= 0.0).all():
+            raise ValueError("quad_damping entries must be non-negative")
         self.inertia_inv = np.linalg.inv(self.inertia)
         self.B_inv = np.linalg.inv(self.B)
         for name in ("inertia", "B"):

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -15,10 +16,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from rovftc import scenario
 from rovftc.cli import main
+from rovftc.fdi import FdiConfig
 from rovftc.scenario import (ScenarioError, apply_overrides, list_presets,
                              load_scenario, preset_path, scenario_from_dict,
                              validate_scenario)
 from rovftc.simulation import COLUMNS
+from rovftc.vehicle import ThrusterBank, ThrusterGeometry
 
 ALL_PRESETS = [
     "fig3_baseline", "fig5_residual", "fig6_sequential", "fig7_failure",
@@ -68,7 +71,7 @@ class TestPresets:
 
     def test_failure_preset_schedule(self):
         sc = load_scenario("fig7_failure")
-        final = {ev.thruster: ev.weight for ev in sc.schedule.events}
+        final = {ev.thruster: ev.weight for ev in sc.faults}
         assert final == {2: 0.0, 4: 0.1, 3: 0.2, 1: 0.3}
 
 
@@ -150,7 +153,7 @@ class TestValidation:
         path = write_scenario(tmp_path, trajectory={"segments": None},
                               faults=None)
         sc = load_scenario(str(path))
-        assert sc.plan.segments == [] and sc.schedule.events == []
+        assert sc.plan.segments == [] and sc.faults == ()
 
     def test_fault_at_or_after_end_rejected(self, capsys):
         # fault_thruster1 cuts thruster 1 at t = 100 s
@@ -592,7 +595,32 @@ class TestCli:
         ("fdi.w_min=1.5", "fdi.w_min = 1.5 must lie in (0, 1)"),
         ("trajectory.segments=[{mode: turn, duration: 10, speed: 1, "
          "yaw_rate: 1e308}]",
-         "segment 0: the end yaw is not finite (yaw_rate = 1e+308)")])
+         "segment 0: the end yaw is not finite (yaw_rate = 1e+308)"),
+        ("vehicle.lin_damping=[-1.0,1.1,0.05]",
+         "vehicle: lin_damping must be positive semidefinite"),
+        ("vehicle.lin_damping=[[0,0,0],[0,1,2],[0,2,1]]",
+         "vehicle: lin_damping must be positive semidefinite"),
+        ("vehicle.quad_damping=[-1.0,3.0,0.5]",
+         "vehicle: quad_damping entries must be non-negative"),
+        # the six standing fault assumptions, all checked by `Scenario`
+        ("faults=[{time: 100, thruster: 5, weight: 0.5}]",
+         "sim: fault event at t=100.0: thruster index 5 outside 1..4"),
+        ("faults=[{time: 100, thruster: 1, weight: 1.5}]",
+         "sim: fault event at t=100.0: weight 1.5 outside [0, 1]"),
+        ("faults=[{time: 100, thruster: 1, weight: 0.5}, "
+         "{time: 100, thruster: 2, weight: 0.5}]",
+         "sim: fault event at t=100.0: times must be strictly increasing "
+         "(one fault at a time)"),
+        ("faults=[{time: 10, thruster: 1, weight: 0.5}]",
+         "sim: fault event at t=10.0: before the settle time 50.0 s, the "
+         "tracking loop may not have stabilized"),
+        ("faults=[{time: 100, thruster: 1, weight: 0.5}, "
+         "{time: 200, thruster: 1, weight: 0.8}]",
+         "sim: fault event at t=200.0: weight of thruster 1 must decrease "
+         "(currently 0.5)"),
+        ("faults=[{time: 600, thruster: 1, weight: 0.5}]",
+         "sim: fault event at t=600.0: after the last step starts (599.99 s, "
+         "end of the run 600.0 s), so it never acts on the plant")])
     def test_rejection_names_the_value(self, tmp_path, capsys, override,
                                        named):
         for err in self.rejected_by_every_command(
@@ -632,6 +660,17 @@ class TestCli:
         for err in self.rejected_by_every_command(path, tmp_path, capsys):
             assert "cannot read scenario" in err
 
+
+
+def test_model_defaults_are_those_of_defaults_yaml():
+    # defaults.yaml is the one source; the model classes keep the few
+    # defaults that library users lean on, and they must not drift from it
+    fdi, vehicle = dict(_DEFAULTS["fdi"]), _DEFAULTS["vehicle"]
+    bank = ThrusterBank(np.ones(4))
+    assert (bank.u_max, bank.w_min) == (vehicle["u_max"], fdi.pop("w_min"))
+    assert dataclasses.asdict(FdiConfig()) == fdi
+    geom = ThrusterGeometry()
+    assert (geom.alpha, geom.l) == (vehicle["alpha"], vehicle["l"])
 
 
 def numeric_leaves(node, path=()):

@@ -10,7 +10,7 @@ from rovftc.allocation import achieved_wrench, allocate
 from rovftc.controller import control_law, error_rate, tracking_errors
 from rovftc.fdi import FdiConfig, detection_threshold
 from rovftc.scenario import load_scenario, scenario_from_dict
-from rovftc.simulation import COLUMNS, TIME_TOL, FaultSchedule, Simulation
+from rovftc.simulation import COLUMNS, TIME_TOL, Simulation
 from rovftc.vehicle import VehicleState, dynamics_rhs, kinematics_rhs
 
 HALF_PI = math.pi / 2
@@ -131,24 +131,29 @@ FULL_TABLES = {
 }
 
 
+def fault(time, thruster, weight):
+    return {"time": time, "thruster": thruster, "weight": weight}
+
+
 class TestFaultSchedule:
     def test_weight_increase_rejected(self):
         with pytest.raises(ValueError, match="decrease"):
-            FaultSchedule([(100.0, 1, 0.5), (200.0, 1, 0.8)])
+            make_scenario(faults=[fault(100.0, 1, 0.5), fault(200.0, 1, 0.8)])
 
     def test_times_strictly_increasing(self):
         with pytest.raises(ValueError, match="increasing"):
-            FaultSchedule([(100.0, 1, 0.5), (100.0, 2, 0.5)])
+            make_scenario(faults=[fault(100.0, 1, 0.5), fault(100.0, 2, 0.5)])
 
     def test_early_fault_rejected(self):
         with pytest.raises(ValueError, match="settle"):
-            FaultSchedule([(10.0, 1, 0.5)], settle_time=50.0)
+            make_scenario(sim={"settle_time": 50.0},
+                          faults=[fault(10.0, 1, 0.5)])
 
     def test_bad_indices_and_weights(self):
         with pytest.raises(ValueError, match="thruster"):
-            FaultSchedule([(100.0, 5, 0.5)])
+            make_scenario(faults=[fault(100.0, 5, 0.5)])
         with pytest.raises(ValueError, match="weight"):
-            FaultSchedule([(100.0, 1, 1.5)])
+            make_scenario(faults=[fault(100.0, 1, 1.5)])
 
     def test_apply_step_semantics(self):
         sim = fault_sim([{"time": 0.05, "thruster": 2, "weight": 0.6}])

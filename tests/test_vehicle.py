@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -240,6 +241,41 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             VehicleParams(inertia=np.eye(3), lin_damping=np.eye(3),
                           quad_damping=np.ones(3), B=np.diag([1.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("lin, quad, valid", [
+        (np.zeros((3, 3)), np.zeros(3), True),
+        ([[0.7, 5.0, 0.0], [-5.0, 1.1, 0.0], [0.0, 0.0, 0.05]], np.ones(3), True),
+        ([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]], np.ones(3), True),
+        # every leading minor is 0; the trailing 2x2 minor is -3
+        ([[0.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]], np.ones(3), False),
+        ([-1.0, 1.1, 0.05], np.ones(3), False),
+        (np.eye(3), [-1.0, 3.0, 0.5], False),
+        (np.eye(3), [1.0, math.nan, 0.5], False),
+    ])
+    def test_damping_must_dissipate(self, lin, quad, valid):
+        with (contextlib.nullcontext() if valid
+              else pytest.raises(ValueError, match="damping")):
+            VehicleParams(inertia=np.eye(3), lin_damping=np.array(lin),
+                          quad_damping=np.array(quad), B=np.eye(3))
+
+    def test_damping_check_decides_as_eigvalsh(self, rng):
+        """Each random symmetric matrix plus a skew part as lin_damping:
+        accepted exactly when eigvalsh finds the symmetric part positive
+        semidefinite."""
+        skew = np.triu(np.ones((3, 3)), 1) - np.tril(np.ones((3, 3)), -1)
+        mats = random_symmetric(rng, 500)
+        verdicts = []
+        for m in mats:
+            try:
+                VehicleParams(inertia=np.eye(3), lin_damping=m + skew,
+                              quad_damping=np.ones(3), B=np.eye(3))
+                verdicts.append(True)
+            except ValueError as exc:
+                assert "lin_damping must be positive semidefinite" in str(exc)
+                verdicts.append(False)
+        oracle = [np.linalg.eigvalsh(m).min() >= 0.0 for m in mats]
+        assert verdicts == oracle
+        assert 0 < sum(oracle) < len(oracle)
 
     def test_bank_weight_bounds(self):
         with pytest.raises(ValueError):
