@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .vehicle import (VehicleParams, VehicleState, eval_fv, rotation_matrix,
-                      wrap_angle)
+from .vehicle import (VehicleParams, VehicleState, eval_fv, kinematics_rhs,
+                      rotation_matrix, wrap_angle)
 
 # d/dpsi of the rotation matrix equals J(psi) @ SPIN.
 SPIN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -91,7 +91,7 @@ def stabilization_function(ref: ReferenceSample, e_eta, psi: float,
 
 def error_rate(state: VehicleState, ref: ReferenceSample) -> np.ndarray:
     """Pose-error rate eta_d_dot - J nu."""
-    return ref.eta_d_dot - rotation_matrix(state.psi) @ state.nu
+    return ref.eta_d_dot - kinematics_rhs(state)
 
 
 def stabilization_derivative(ref: ReferenceSample, state: VehicleState,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -56,6 +57,8 @@ class FdiConfig:
                 raise ValueError(f"fdi.{name} must be non-negative and finite")
         if self.delta_w >= 1.0:
             raise ValueError("fdi.delta_w must be below 1")
+        if isinstance(self.n_consec, bool) or not isinstance(self.n_consec, Integral):
+            raise ValueError(f"fdi.n_consec must be a whole number, got {self.n_consec!r}")
         if self.n_consec < 1:
             raise ValueError("fdi.n_consec must be at least 1")
 
@@ -164,6 +167,8 @@ class FdiEngine:
         self.period, self.hold = period, hold
         self.state = FdiState()
         self._hold_left = -1  # hold-window samples after this one; < 0: closed
+        # the threshold outside and inside a hold window, by `_hold_left >= 0`
+        self._thresholds = (detection_threshold(cfg), detection_threshold(cfg, True))
 
     def update(self, t: float, e_eta, e_eta_dot, u_cmd, psi: float,
                joint: bool) -> int | None:
@@ -173,9 +178,8 @@ class FdiEngine:
         caller owns the estimates and applies `reconfigure_step`."""
         cfg, st = self.cfg, self.state
         self._hold_left = self.hold if joint else self._hold_left - 1
-        in_hold = self._hold_left >= 0
         st.residual = residual(e_eta, cfg.c1)
-        st.threshold = detection_threshold(cfg, in_hold)
+        st.threshold = self._thresholds[self._hold_left >= 0]
         above = st.residual > st.threshold  # exactly at the threshold stays quiet
 
         if not st.armed:

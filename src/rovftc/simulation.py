@@ -3,15 +3,16 @@
 Step k starts at k * dt. `Scenario` turns every schedule into steps at
 load: a fault event or segment joint acts at the first step that starts
 at or after it (`step_index`); the update period and the joint hold
-window are whole numbers of steps. One control cycle per step, shared
-by `step()` and `run()`: apply the fault events and flag the segment
-joints due at the step, take the controller/allocation snapshot at the
-step start, run the detection/identification/reconfiguration loop on
-it, then, unless the step ends the run, integrate the vehicle over it
-with classic fourth-order Runge-Kutta. The step that leaves the
-divergence limits is the last. The feedback law is evaluated inside
-every integration stage, so on smooth segments the global error scales
-with dt^4.
+window are whole numbers of steps. One function, `Simulation._cycle`,
+runs a step from top to bottom for both `step()` and `run()`: apply the
+fault events and flag the segment joints due at the step, take the
+controller/allocation snapshot at the step start, run the
+detection/identification/reconfiguration loop on it, update the running
+summary and build the row, then, unless the step ends the run,
+integrate the vehicle over it with classic fourth-order Runge-Kutta.
+The step that leaves the divergence limits is the last. The feedback
+law is evaluated inside every integration stage, so on smooth segments
+the global error scales with dt^4.
 
 The inner loop is written with unrolled scalar arithmetic; the matrix
 form of every formula lives in `vehicle`, `controller` and `allocation`,
@@ -24,11 +25,11 @@ The allocation rows and thrust gains change with the weights, so they
 are bound, not compiled: each fault event or reconfiguration calls the
 compiled `bind` again. The kernel computes the control snapshot and the
 state derivative in one pass. Each step evaluates it 4 times: the
-boundary snapshot, which is exactly RK4 stage k1 (same time, state and
-tables) and is reused as such, plus stages k2, k3 and k4, which ask only
-for the six derivatives. The reference is sampled once per distinct
+step-start snapshot, which is exactly RK4 stage k1 (same time, state
+and tables) and is reused as such, plus stages k2, k3 and k4, which ask
+only for the six derivatives. The reference is sampled once per distinct
 time, t + dt/2 (shared by k2 and k3) and t + dt; the sample at t + dt
-serves the next boundary too when that starts at the same float.
+serves the next step's snapshot too when that starts at the same float.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import re
 import time
 from array import array
 from dataclasses import dataclass, field, fields
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -119,8 +121,15 @@ class Scenario:
     kernel: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not math.isfinite(self.settle_time):
+            raise ValueError("settle_time must be finite")
         current, prev_time = dict.fromkeys((1, 2, 3, 4), 1.0), -math.inf
         for ev in self.faults:
+            if not math.isfinite(ev.time):
+                raise ValueError(f"fault event at t={ev.time}: time must be finite")
+            if isinstance(ev.thruster, bool) or not isinstance(ev.thruster, Integral):
+                raise ValueError(f"fault event at t={ev.time}: thruster index "
+                                 f"{ev.thruster!r} is not a whole number")
             if ev.thruster not in current:
                 raise ValueError(f"fault event at t={ev.time}: thruster index "
                                  f"{ev.thruster} outside 1..4")
@@ -144,6 +153,8 @@ class Scenario:
             raise ValueError("dt must be positive and finite")
         if not (math.isfinite(self.duration) and self.duration > 0.0):
             raise ValueError("duration must be positive and finite")
+        if isinstance(self.decimation, bool) or not isinstance(self.decimation, Integral):
+            raise ValueError(f"decimation must be a whole number, got {self.decimation!r}")
         if self.decimation < 1:
             raise ValueError("decimation must be at least 1")
         dt, events = self.dt, self.faults
@@ -169,6 +180,8 @@ class Scenario:
         self.initial_state = np.asarray(self.initial_state, dtype=float)
         if self.initial_state.shape != (6,):
             raise ValueError("initial_state must have 6 entries")
+        if not np.isfinite(self.initial_state).all():
+            raise ValueError("initial_state entries must be finite")
         self.kernel = _kernel(self.params, self.gains, self.geometry,
                               self.bank.u_max)
 
@@ -382,12 +395,16 @@ class Simulation:
                                              *(bank.K * bank.w_true).tolist())
         self._weights = tuple(bank.w_true.tolist() + bank.w_hat.tolist())
 
-    def _boundary(self, t: float, want_row: bool = True):
-        """Fault schedule, control snapshot, FDI update and running
-        summary at the start of step `self.k`, at time t. Returns
-        (row-or-None, c), where c is the final full control snapshot: the
-        commands the plant receives over the step, and RK4 stage k1."""
-        while self._event_steps[self._event_idx] <= self.k:
+    def _cycle(self, want_row: bool = True):
+        """Step k, top to bottom: the fault events due at it, the control
+        snapshot at t = k * dt, the FDI update and any reconfiguration,
+        the running summary and, if wanted, the row (returned, else None);
+        then, unless k ends the run, one RK4 step and the divergence check.
+        The final snapshot is RK4 stage k1, and the sample at t + dt
+        serves the next step too when it starts at that float."""
+        k, dt = self.k, self.dt
+        t = k * dt
+        while self._event_steps[self._event_idx] <= k:
             ev = self._events[self._event_idx]
             self.bank.w_true[ev.thruster - 1] = ev.weight
             self._rebind()
@@ -399,7 +416,7 @@ class Simulation:
             ref = self.plan.sample_flat(t)
         c = self._control(s, ref)
         due = self.engine.update(t, c[6:9], c[9:12], c[15:19], s[2],
-                                 self.k in self._joint_steps)
+                                 k in self._joint_steps)
         if due is not None:
             self.bank.w_hat = reconfigure_step(self.bank.w_hat, due,
                                                self.engine.cfg, self.bank.w_min)
@@ -408,7 +425,7 @@ class Simulation:
         if c[25]:
             self.saturation_steps += 1
 
-        st, k = self.engine.state, self.k
+        st = self.engine.state
         res = st.residual
         if math.sqrt(c[6] * c[6] + c[7] * c[7] + c[8] * c[8]) > 0.05:
             self._k_bad = k
@@ -418,36 +435,27 @@ class Simulation:
             self._max_res_armed = res
         if res > st.threshold:
             self._win_above[self._event_idx] = k
-        if not want_row:
-            return None, c
-        g1, g2 = self._g1, self._g2
-        try:  # float `**` raises where `*` would give inf
-            v2 = 0.5 * (g1[0] * c[6] ** 2 + g1[1] * c[7] ** 2 + g1[2] * c[8] ** 2
-                        + g2[0] * c[12] ** 2 + g2[1] * c[13] ** 2 + g2[2] * c[14] ** 2)
-        except OverflowError:
-            v2 = math.inf
-        row = (t, *s, ref[0], ref[1], wrap_angle(ref[2]),
-               c[6], c[7], c[8],
-               st.residual, st.threshold,
-               1.0 if st.b_trig else 0.0,
-               float(st.fault_num or 0),
-               *self._weights,
-               *c[15:25],  # u1..u4, tau_c, tau
-               v2)
-        return row, c
+        row = None
+        if want_row:
+            g1, g2 = self._g1, self._g2
+            try:  # float `**` raises where `*` would give inf
+                v2 = 0.5 * (g1[0] * c[6] ** 2 + g1[1] * c[7] ** 2 + g1[2] * c[8] ** 2
+                            + g2[0] * c[12] ** 2 + g2[1] * c[13] ** 2 + g2[2] * c[14] ** 2)
+            except OverflowError:
+                v2 = math.inf
+            row = (t, *s, ref[0], ref[1], wrap_angle(ref[2]),
+                   c[6], c[7], c[8],
+                   st.residual, st.threshold,
+                   1.0 if st.b_trig else 0.0,
+                   float(st.fault_num or 0),
+                   *self._weights,
+                   *c[15:25],  # u1..u4, tau_c, tau
+                   v2)
 
-    def _cycle(self, want_row: bool = True):
-        """The boundary at step k, then, unless k ends the run, one RK4
-        step from it and the divergence check; returns the boundary's row
-        or None. The boundary snapshot is stage k1, and the sample at
-        t + dt serves the next boundary too when it starts at that float."""
-        k, dt = self.k, self.dt
-        t = k * dt
-        row, c = self._boundary(t, want_row)
         if k < self.n_steps:
             h = dt * 0.5
             control = self._control
-            a0, a1, a2, a3, a4, a5 = self._s
+            a0, a1, a2, a3, a4, a5 = s
             sample = self.plan.sample_flat
             t_end = t + dt
             ref, ref_end = sample(t + h), sample(t_end)

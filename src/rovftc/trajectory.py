@@ -35,6 +35,8 @@ class Segment:
     def __post_init__(self):
         if self.mode not in ("hold", "straight", "turn"):
             raise ValueError(f"unknown segment mode {self.mode!r}")
+        if not math.isfinite(self.duration):
+            raise ValueError(f"segment duration must be finite, got {self.duration}")
         if self.duration <= 0.0:
             raise ValueError("segment duration must be positive")
         if self.mode == "turn" and self.yaw_rate == 0.0:
@@ -95,7 +97,7 @@ class TrajectoryPlan:
             fns.append(_segment_fn(seg, pose))
             starts.append(starts[-1] + seg.duration)
             pose = fns[-1](seg.duration)[:3]
-        fns.append(_segment_fn(Segment("hold", math.inf), pose))
+        fns.append(_segment_fn(Segment("hold", 1.0), pose))  # a hold ignores its duration
         self._starts = (*starts, math.inf)  # segment i spans starts[i:i + 2]
         self._fns = tuple(fns)              # the last one holds the end pose
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rovftc.allocation import achieved_wrench, allocate, pseudo_inverse
+from rovftc.allocation import (_distribution_matrix, achieved_wrench, allocate,
+                               pseudo_inverse)
 from rovftc.vehicle import ThrusterBank, ThrusterGeometry, config_matrix
 
 # minimum-norm split of a unit surge demand over the X layout
@@ -129,6 +130,15 @@ class TestAllocate:
         bank.w_hat = np.array([1.0, 0.02, 1.0, 1.0])
         with pytest.raises(ValueError):
             allocate(np.array([1.0, 0.0, 0.0]), bank, geom)
+
+    def test_every_thruster_at_the_floor_gets_no_command(self, bank, geom, monkeypatch):
+        # no column is left, so no pseudo-inverse is taken (numpy's of a
+        # 3x0 matrix would give the same zeros)
+        monkeypatch.setattr(np.linalg, "pinv", None)
+        bank.w_hat = np.full(4, bank.w_min)
+        assert not _distribution_matrix(geom, ~bank.failed_mask()).any()
+        res = allocate(np.array([1.0, -0.5, 0.2]), bank, geom)
+        assert not res.u_raw.any() and not res.u_cmd.any() and not res.saturated
 
     def test_floored_thruster_excluded(self, bank, geom, rng):
         # an estimate at the floor marks the thruster failed: it gets no

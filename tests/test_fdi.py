@@ -183,6 +183,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FdiConfig(n_consec=0)
 
+    @pytest.mark.parametrize("n_consec", [2.5, True])
+    def test_n_consec_must_be_a_whole_number(self, n_consec):
+        with pytest.raises(ValueError, match="fdi.n_consec must be a whole number"):
+            FdiConfig(n_consec=n_consec)
+
     def test_zero_margins_allowed(self):
         cfg = FdiConfig(f_smooth=0.0, joint_widen=0.0, joint_hold=0.0)
         assert cfg.f_smooth == 0.0

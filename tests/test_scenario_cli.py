@@ -207,6 +207,18 @@ class TestValidation:
         issues = validate_scenario(str(path))
         assert issues and "parse" in issues[0].lower()
 
+    def test_unknown_segment_mode_rejected(self):
+        segments = [{"mode": "spiral", "duration": 1.0}]
+        with pytest.raises(ScenarioError,
+                           match=r"trajectory\.segments\[0\]: unknown mode 'spiral'"):
+            scenario_from_dict({"trajectory": {"segments": segments}})
+
+    def test_top_level_must_be_a_mapping(self, tmp_path):
+        path = tmp_path / "listed.yaml"
+        path.write_text("- vehicle\n- sim\n")
+        with pytest.raises(ScenarioError, match="top level must be a mapping"):
+            load_scenario(str(path))
+
     def test_missing_file(self):
         with pytest.raises(ScenarioError, match="not found"):
             load_scenario("does/not/exist.yaml")

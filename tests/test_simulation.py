@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +12,7 @@ from rovftc.allocation import achieved_wrench, allocate
 from rovftc.controller import control_law, error_rate, tracking_errors
 from rovftc.fdi import FdiConfig, detection_threshold
 from rovftc.scenario import load_scenario, scenario_from_dict
-from rovftc.simulation import COLUMNS, TIME_TOL, Simulation
+from rovftc.simulation import COLUMNS, TIME_TOL, FaultEvent, Simulation
 from rovftc.vehicle import VehicleState, dynamics_rhs, kinematics_rhs
 
 HALF_PI = math.pi / 2
@@ -178,6 +180,27 @@ class TestFaultSchedule:
         assert np.allclose(sim.bank.w_true, 1.0)
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"decimation": 2.5}, "decimation must be a whole number, got 2.5"),
+    ({"decimation": math.nan}, "decimation must be a whole number, got nan"),
+    ({"faults": (FaultEvent(60.0, 1.0, 0.5),)},
+     "fault event at t=60.0: thruster index 1.0 is not a whole number"),
+    ({"faults": (FaultEvent(60.0, True, 0.5),)},
+     "fault event at t=60.0: thruster index True is not a whole number"),
+    ({"settle_time": math.nan, "faults": (FaultEvent(1.0, 1, 0.5),)},
+     "settle_time must be finite"),
+    ({"faults": (FaultEvent(math.nan, 1, 0.5),)},
+     "fault event at t=nan: time must be finite"),
+    ({"initial_state": [0.0, 0.0, math.nan, 0.0, 0.0, 0.0]},
+     "initial_state entries must be finite"),
+], ids=["fractional-decimation", "nan-decimation", "float-thruster",
+        "bool-thruster", "nan-settle-time", "nan-fault-time", "nan-initial-state"])
+def test_constructor_rejects_what_a_file_would(change, message):
+    sc = make_scenario(sim={"duration": 100.0})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(sc, **change)
+
+
 def test_weight_floors_must_agree():
     # a thruster counts as failed at the bank's floor, and the estimate is
     # clamped at that same floor: the bank holds the only one, fdi.w_min
@@ -287,28 +310,48 @@ class TestStep:
         assert str(frame.statement).strip() == "X, Y, psi, u, v, r = s"
 
     def test_boundary_snapshot_is_rk4_k1(self):
-        cfg = crossing_cfg()
-        sim = Simulation(make_scenario(**cfg))
-        boundary = sim._boundary
-        seen = []
+        sc = make_scenario(**crossing_cfg())
+        bind, calls = sc.kernel, []
 
-        def checked_boundary(t, want_row=True):
-            row, c = boundary(t, want_row)
-            s, ref = sim._s, sim.plan.sample_flat(t)
-            # the snapshot is taken after any reconfiguration at t
-            assert c == sim._control(s, ref)
-            assert c[:6] == sim._control(s, ref, False)
-            seen.append(sim.k)
-            return row, c
+        def logged_bind(*tables):  # every kernel `_rebind` binds logs its calls
+            control = bind(*tables)
 
-        sim._boundary = checked_boundary
-        rows = [sim.step() for _ in range(sim.n_steps)]
-        assert seen == list(range(sim.n_steps))
-        assert sim.scenario.joint_steps[0] in seen
+            def logged(s, ref, full=True):
+                calls.append((s, ref, full, control))
+                return control(s, ref, full)
+            return logged
+
+        sc.kernel = logged_bind
+        sim = Simulation(sc)
+        update, dues = sim.engine.update, []
+
+        def spy(*args):
+            dues.append(update(*args))
+            return dues[-1]
+
+        sim.engine.update = spy
+        rows, h = [], sim.dt * 0.5
+        for k in range(sim.n_steps):
+            s, ref = sim._s, sim.plan.sample_flat(k * sim.dt)
+            del calls[:]
+            rows.append(sim.step())
+            reconfigured = dues[-1] is not None
+            # the step-start snapshot, and one more after a reconfiguration,
+            # then stages k2-k4 only: no call of its own for k1
+            assert [full for _, _, full, _ in calls] == [True] * (1 + reconfigured) + [False] * 3
+            assert all(call[:2] == (s, ref) for call in calls[:1 + reconfigured])
+            if reconfigured:  # the second snapshot is from the rebound kernel
+                assert calls[1][3] is not calls[0][3]
+            control = calls[reconfigured][3]
+            k1 = control(s, ref)[:6]
+            assert k1 == control(s, ref, False)
+            assert calls[-3][0] == tuple(a + h * d for a, d in zip(s, k1))
+        assert sum(due is not None for due in dues) >= 2
+        assert sim.scenario.joint_steps[0] < sim.n_steps
         assert sim.bank.w_true[0] == 0.3
         assert sim.bank.w_hat[0] < 1.0 - sim.engine.cfg.delta_w
 
-        res = Simulation(make_scenario(**cfg)).run()
+        res = Simulation(make_scenario(**crossing_cfg())).run()
         assert np.array_equal(np.array(rows), res.rows[:-1])
 
     def test_crossing_run_csv_bytes_pinned(self, tmp_path):

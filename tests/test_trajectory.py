@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rovftc.scenario import list_presets, load_scenario
-from rovftc.simulation import Scenario, Simulation, step_index
+from rovftc.simulation import TIME_TOL, Scenario, Simulation, step_index
 from rovftc.trajectory import Segment, TrajectoryPlan
 
 HALF_PI = math.pi / 2
@@ -70,6 +70,12 @@ class TestDemoPlan:
             assert step_index(t, 0.01) == 30000
         assert step_index(300.0 + 2e-9, 0.01) == 30001
 
+    def test_step_index_corrects_an_estimate_one_step_late(self):
+        # (t - TIME_TOL) / dt rounds up past 7, so the first estimate is 8
+        t = 7 * 0.01 + TIME_TOL
+        assert math.ceil((t - TIME_TOL) / 0.01) == 8
+        assert step_index(t, 0.01) == 7
+
 
 class TestSegments:
     def test_reverse_straight(self):
@@ -106,6 +112,11 @@ class TestSegments:
             Segment("turn", 10.0, speed=1.0, yaw_rate=0.0)
         with pytest.raises(ValueError):
             TrajectoryPlan([0.0, 0.0], [])
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_duration_must_be_finite(self, duration):
+        with pytest.raises(ValueError, match="segment duration must be finite"):
+            Segment("straight", duration, speed=1.0)
 
     def test_negative_time_rejected(self, demo_plan):
         with pytest.raises(ValueError):
