@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .vehicle import (VehicleParams, VehicleState, eval_fv, kinematics_rhs,
+from .vehicle import (VehicleParams, VehicleState, eval_fv, kinematics_rhs, reals,
                       rotation_matrix, wrap_angle)
 
 # d/dpsi of the rotation matrix equals J(psi) @ SPIN.
@@ -38,7 +38,7 @@ class ControllerGains:
 
     def __post_init__(self):
         for name in ("gamma1", "gamma2", "a1", "a2"):
-            vec = np.asarray(getattr(self, name), dtype=float)
+            vec = reals(getattr(self, name), f"gains.{name}")
             if vec.shape != (3,):
                 raise ValueError(f"{name} must have 3 diagonal entries")
             if np.any(vec <= 0.0):

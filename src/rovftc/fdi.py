@@ -21,12 +21,11 @@ dead-band or the geometric factor is too small to act on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from numbers import Integral
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .vehicle import ThrusterGeometry
+from .vehicle import ThrusterGeometry, real, whole
 
 
 @dataclass
@@ -45,20 +44,17 @@ class FdiConfig:
     n_consec: int = 5        # consecutive samples above threshold to trigger
 
     def __post_init__(self):
-        positive = ("c1", "c2", "delta1", "delta2", "t_s",
-                    "delta_w", "eps_u", "eps_g")
-        for name in positive:
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"fdi.{name} must be positive and finite")
+        for f in fields(self):
+            read = whole if f.name == "n_consec" else real
+            setattr(self, f.name, read(getattr(self, f.name), f"fdi.{f.name}"))
+        for name in ("c1", "c2", "delta1", "delta2", "t_s", "delta_w", "eps_u", "eps_g"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"fdi.{name} must be positive")
         for name in ("f_smooth", "joint_widen", "joint_hold"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"fdi.{name} must be non-negative and finite")
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"fdi.{name} must be non-negative")
         if self.delta_w >= 1.0:
             raise ValueError("fdi.delta_w must be below 1")
-        if isinstance(self.n_consec, bool) or not isinstance(self.n_consec, Integral):
-            raise ValueError(f"fdi.n_consec must be a whole number, got {self.n_consec!r}")
         if self.n_consec < 1:
             raise ValueError("fdi.n_consec must be at least 1")
 

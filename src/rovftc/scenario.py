@@ -12,12 +12,9 @@ from __future__ import annotations
 import copy
 import functools
 import importlib.resources
-import math
 import re
-from numbers import Real
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .controller import ControllerGains
@@ -118,22 +115,6 @@ def _list(raw, path: str) -> list:
     return raw
 
 
-def _number(raw, path: str) -> float:
-    """A finite float. NaN would pass every `<=` range check further in
-    and then turn comparisons such as saturation silently false; a YAML
-    boolean (`true`, `yes`, `on`) would run as 1.0; a quoted number such
-    as `"0.5"` is most likely a mistake in the file."""
-    if isinstance(raw, bool) or not isinstance(raw, Real):
-        raise ScenarioError(f"{path}: expected a number, got {raw!r}")
-    try:
-        value = float(raw)
-    except OverflowError as exc:  # an int beyond the float range
-        raise ScenarioError(f"{path}: must be finite, got {raw!r}") from exc
-    if not math.isfinite(value):
-        raise ScenarioError(f"{path}: must be finite, got {raw!r}")
-    return value
-
-
 def _file_name(raw) -> str:
     """The scenario name, which names its output files in --out: a
     non-empty string that is one path component, so that no name can
@@ -145,42 +126,16 @@ def _file_name(raw) -> str:
     return raw
 
 
-def _count(raw, path: str) -> int:
-    """A whole number; integral floats such as 3.0 are accepted, booleans
-    are not."""
-    value = None if isinstance(raw, bool) else _number(raw, path)
-    if value is None or value != int(value):
-        raise ScenarioError(f"{path}: expected a whole number, got {raw!r}")
-    return int(value)
-
-
-def _array(raw, path: str) -> np.ndarray:
-    """A scalar or (nested) list, each entry read by `_number`."""
-    entries = np.asarray(raw, dtype=object)
-    return np.array([_number(x, path) for x in entries.flat]).reshape(entries.shape)
-
-
-def _section(raw, path: str, schema: dict) -> dict:
-    """Every key of the section `raw`, read by the type of its value in
-    `schema` (the section of defaults.yaml): an int as a whole number, a
-    list as a finite array, anything else as a finite float. Shapes are
-    left to the model classes, which own them."""
-    out = {}
-    for key, val in _mapping(raw, path, schema).items():
-        default = schema[key]
-        read = (_count if isinstance(default, int) else
-                _array if isinstance(default, list) else _number)
-        out[key] = read(val, f"{path}.{key}")
-    return out
-
-
 def _built(where: str, make, *args, **kwargs):
     """`make(*args, **kwargs)`, with a model invariant's ValueError
-    reported as a ScenarioError under `where`."""
+    reported as a ScenarioError under `where`, unless its message opens
+    with a scenario key such as `fdi.c1` or `faults[0].time`."""
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+        said, key = str(exc), re.match(r"(\w+)[.[]", str(exc))
+        keyed = key is not None and key[1] in _parsed_defaults()
+        raise ScenarioError(said if keyed else f"{where}: {said}") from exc
 
 
 def apply_overrides(config: dict, overrides: list[str]) -> dict:
@@ -207,9 +162,9 @@ def scenario_from_dict(config: dict, name: str = "scenario") -> Scenario:
     name = _file_name(name)
     defaults = _defaults()
     cfg = _merge(defaults, _mapping(config, "scenario", defaults))
-    veh, g, fdi_cfg, sim = (_section(cfg[key], key, defaults[key])
-                            for key in ("vehicle", "gains", "fdi", "sim"))
-    traj = _mapping(cfg["trajectory"], "trajectory", defaults["trajectory"])
+    veh, g, fdi_cfg, sim, traj = (
+        _mapping(cfg[key], key, defaults[key])
+        for key in ("vehicle", "gains", "fdi", "sim", "trajectory"))
 
     w_min = fdi_cfg.pop("w_min")  # the bank holds the one weight floor
     fdi = _built("fdi", FdiConfig, **fdi_cfg)
@@ -228,18 +183,13 @@ def scenario_from_dict(config: dict, name: str = "scenario") -> Scenario:
         if fields is None:
             raise ScenarioError(f"{path}: unknown mode {mode!r}")
         _mapping(seg, path, ("mode", *fields))
-        segments.append(_built(path, Segment, mode, **{
-            key: _number(seg.get(key), f"{path}.{key}") for key in fields}))
-    plan = _built("trajectory", TrajectoryPlan,
-                  _array(traj["initial_pose"], "trajectory.initial_pose"),
-                  segments)
+        segments.append(_built(path, Segment, mode,
+                               **{key: seg.get(key) for key in fields}))
+    plan = _built("trajectory", TrajectoryPlan, traj["initial_pose"], segments)
 
-    events = [_mapping(ev, f"faults[{i}]", ("time", "thruster", "weight"))
+    events = [_mapping(ev, f"faults[{i}]", FaultEvent._fields)
               for i, ev in enumerate(_list(cfg.get("faults"), "faults"))]
-    faults = tuple(FaultEvent(_number(ev.get("time"), f"faults[{i}].time"),
-                              _count(ev.get("thruster"), f"faults[{i}].thruster"),
-                              _number(ev.get("weight"), f"faults[{i}].weight"))
-                   for i, ev in enumerate(events))
+    faults = [FaultEvent(*map(ev.get, FaultEvent._fields)) for ev in events]
 
     return _built("sim", Scenario, name=name, params=params, geometry=geom,
                   bank=bank, gains=gains, fdi=fdi, plan=plan, faults=faults,

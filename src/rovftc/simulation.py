@@ -40,7 +40,6 @@ import re
 import time
 from array import array
 from dataclasses import dataclass, field, fields
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +49,7 @@ from .controller import ControllerGains
 from .fdi import FdiConfig, FdiEngine, reconfigure_step
 from .trajectory import TrajectoryPlan
 from .vehicle import (TWO_PI, ThrusterBank, ThrusterGeometry, VehicleParams,
-                      wrap_angle)
+                      real, reals, whole, wrap_angle)
 
 DIVERGENCE_LIMIT = 1e6
 #: times closer than this are one instant (joint, fault event, end of run)
@@ -121,15 +120,16 @@ class Scenario:
     kernel: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not math.isfinite(self.settle_time):
-            raise ValueError("settle_time must be finite")
+        for key in ("dt", "duration", "settle_time"):
+            setattr(self, key, real(getattr(self, key), f"sim.{key}"))
+        self.decimation = whole(self.decimation, "sim.decimation")
+        self.initial_state = reals(self.initial_state, "sim.initial_state")
+        self.faults = tuple(FaultEvent(real(t, f"faults[{i}].time"),
+                                       whole(n, f"faults[{i}].thruster"),
+                                       real(w, f"faults[{i}].weight"))
+                            for i, (t, n, w) in enumerate(self.faults))
         current, prev_time = dict.fromkeys((1, 2, 3, 4), 1.0), -math.inf
         for ev in self.faults:
-            if not math.isfinite(ev.time):
-                raise ValueError(f"fault event at t={ev.time}: time must be finite")
-            if isinstance(ev.thruster, bool) or not isinstance(ev.thruster, Integral):
-                raise ValueError(f"fault event at t={ev.time}: thruster index "
-                                 f"{ev.thruster!r} is not a whole number")
             if ev.thruster not in current:
                 raise ValueError(f"fault event at t={ev.time}: thruster index "
                                  f"{ev.thruster} outside 1..4")
@@ -149,12 +149,10 @@ class Scenario:
                                  f"(currently {current[ev.thruster]})")
             current[ev.thruster] = ev.weight
             prev_time = ev.time
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError("dt must be positive and finite")
-        if not (math.isfinite(self.duration) and self.duration > 0.0):
-            raise ValueError("duration must be positive and finite")
-        if isinstance(self.decimation, bool) or not isinstance(self.decimation, Integral):
-            raise ValueError(f"decimation must be a whole number, got {self.decimation!r}")
+        if not self.dt > 0.0:
+            raise ValueError("dt must be positive")
+        if not self.duration > 0.0:
+            raise ValueError("duration must be positive")
         if self.decimation < 1:
             raise ValueError("decimation must be at least 1")
         dt, events = self.dt, self.faults
@@ -177,11 +175,8 @@ class Scenario:
             if abs(span - steps[key] * dt) > TIME_TOL:
                 raise ValueError(f"{key} = {span} s is not a whole number of "
                                  f"steps of dt = {dt} s")
-        self.initial_state = np.asarray(self.initial_state, dtype=float)
         if self.initial_state.shape != (6,):
             raise ValueError("initial_state must have 6 entries")
-        if not np.isfinite(self.initial_state).all():
-            raise ValueError("initial_state entries must be finite")
         self.kernel = _kernel(self.params, self.gains, self.geometry,
                               self.bank.u_max)
 
@@ -315,8 +310,6 @@ def _literal_sum(expr: str, consts: dict) -> str:
         name, star, operand = term.partition(" * ")
         if name in consts:
             x = consts[name]
-            if not math.isfinite(x):
-                raise ValueError(f"hot-path constant {name} = {x} is not finite")
             if star and x == 0.0:
                 continue
             term = operand if star and x == 1.0 else repr(x) + star + operand

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import ReferenceSample
+from .vehicle import real, reals
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,8 @@ class Segment:
     def __post_init__(self):
         if self.mode not in ("hold", "straight", "turn"):
             raise ValueError(f"unknown segment mode {self.mode!r}")
-        if not math.isfinite(self.duration):
-            raise ValueError(f"segment duration must be finite, got {self.duration}")
+        for name in ("duration", "speed", "heading", "yaw_rate"):
+            object.__setattr__(self, name, real(getattr(self, name), name))
         if self.duration <= 0.0:
             raise ValueError("segment duration must be positive")
         if self.mode == "turn" and self.yaw_rate == 0.0:
@@ -82,9 +83,10 @@ class TrajectoryPlan:
     """
 
     def __init__(self, initial_pose, segments):
-        if np.shape(initial_pose) != (3,):
+        pose = reals(initial_pose, "trajectory.initial_pose")
+        if pose.shape != (3,):
             raise ValueError("initial pose must be [x, y, psi]")
-        self.initial_pose = tuple(float(v) for v in initial_pose)
+        self.initial_pose = tuple(pose.tolist())
         self.segments = list(segments)
         starts = [0.0]
         fns = []

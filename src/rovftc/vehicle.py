@@ -8,11 +8,45 @@ body-fixed frame (u surge, v sway, r yaw rate). All angles in radians.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Real
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+
+def real(value, key: str) -> float:
+    """`value` as a finite float, or a ValueError that names `key`. NaN
+    would pass every `<=` range check further in and then turn comparisons
+    such as saturation silently false; a bool (YAML `true`, `yes`, `on`)
+    would run as 1.0; a quoted number such as `"0.5"` is most likely a
+    mistake in the file."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{key}: expected a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{key}: must be finite, got {value!r}")
+    return x
+
+
+def whole(value, key: str) -> int:
+    """`value` as an int; an integral float such as 3.0 is one, a bool is
+    not."""
+    x = None if isinstance(value, bool) else real(value, key)
+    if x is None or x != int(x):
+        raise ValueError(f"{key}: expected a whole number, got {value!r}")
+    return int(x)
+
+
+def reals(value, key: str) -> np.ndarray:
+    """A scalar or (nested) list as a float array of its shape, each entry
+    read by `real`; a ragged list has a list for an entry and fails."""
+    entries = np.asarray(value, dtype=object)
+    return np.array([real(x, key) for x in entries.flat]).reshape(entries.shape)
 
 
 def wrap_angle(angle: float) -> float:
@@ -73,8 +107,8 @@ class VehicleState:
     r: float = 0.0      # rad/s yaw rate
 
     def __post_init__(self):
-        if not all(math.isfinite(f) for f in self.as_array()):
-            raise ValueError("vehicle state must be finite")
+        for f in fields(self):
+            setattr(self, f.name, real(getattr(self, f.name), f.name))
         self.psi = wrap_angle(self.psi)
 
     @property
@@ -109,12 +143,12 @@ class VehicleParams:
 
     def __post_init__(self):
         for name in ("inertia", "lin_damping", "B"):
-            m = np.asarray(getattr(self, name), dtype=float)
+            m = reals(getattr(self, name), f"vehicle.{name}")
             m = np.diag(m) if m.shape == (3,) else m
             if m.shape != (3, 3):
                 raise ValueError(f"{name} must be 3x3 or its 3 diagonal entries")
             setattr(self, name, m)
-        self.quad_damping = np.asarray(self.quad_damping, dtype=float)
+        self.quad_damping = reals(self.quad_damping, "vehicle.quad_damping")
         if self.quad_damping.shape != (3,):
             raise ValueError("quad_damping must have 3 entries")
         if not np.allclose(self.inertia, self.inertia.T, atol=1e-12):
@@ -227,6 +261,7 @@ class ThrusterGeometry:
     t_pinv: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        self.alpha, self.l = real(self.alpha, "vehicle.alpha"), real(self.l, "vehicle.l")
         self.t_conf = config_matrix(self.alpha, self.l)
         self.t_pinv = pseudo_inverse(self.t_conf)
         self.t_pinv.flags.writeable = False
@@ -248,19 +283,21 @@ class ThrusterBank:
     w_min: float = 0.05            # floor on the estimate
 
     def __post_init__(self):
+        self.K = reals(self.K, "vehicle.K")
+        self.w_true, self.w_hat = reals(self.w_true, "w_true"), reals(self.w_hat, "w_hat")
+        self.u_max = real(self.u_max, "vehicle.u_max")
+        self.w_min = real(self.w_min, "fdi.w_min")
         if not (0.0 < self.w_min < 1.0):
             raise ValueError(f"fdi.w_min = {self.w_min} must lie in (0, 1)")
-        self.K = np.asarray(self.K, dtype=float)
-        if self.K.shape != (4,):
-            raise ValueError("K must have 4 entries")
+        for name in ("K", "w_true", "w_hat"):
+            if getattr(self, name).shape != (4,):
+                raise ValueError(f"{name} must have 4 entries")
         if np.any(self.K <= 0.0):
             raise ValueError("thrust coefficients must be positive")
         with np.errstate(over="ignore", divide="ignore"):
             inverse = 1.0 / (self.K * self.w_min)  # allocation rows divide by K w_hat
         if not np.isfinite(inverse).all():
             raise ValueError("vehicle.K too small: 1 / (K_i * fdi.w_min) overflows")
-        self.w_true = np.asarray(self.w_true, dtype=float)
-        self.w_hat = np.asarray(self.w_hat, dtype=float)
         if np.any(self.w_true < 0.0) or np.any(self.w_true > 1.0):
             raise ValueError("true weights must lie in [0, 1]")
         if np.any(self.w_hat < self.w_min - 1e-12) or np.any(self.w_hat > 1.0):

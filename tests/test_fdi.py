@@ -185,7 +185,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("n_consec", [2.5, True])
     def test_n_consec_must_be_a_whole_number(self, n_consec):
-        with pytest.raises(ValueError, match="fdi.n_consec must be a whole number"):
+        with pytest.raises(ValueError, match="fdi.n_consec: expected a whole number"):
             FdiConfig(n_consec=n_consec)
 
     def test_zero_margins_allowed(self):

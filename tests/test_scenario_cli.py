@@ -116,7 +116,7 @@ class TestValidation:
         ({"faults": 5}, "faults: expected a list"),
         ({"faults": [5]}, "faults[0]: expected a mapping"),
         ({"trajectory": {"segments": [{"mode": "hold"}]}},
-         "trajectory.segments[0].duration: expected a number"),
+         "trajectory.segments[0]: duration: expected a number"),
         ({"faults": [{"time": 60.0, "thruster": 1}]},
          "faults[0].weight: expected a number"),
         ({"vehicle": {"u_max": "0.5"}}, "vehicle.u_max: expected a number"),
@@ -697,6 +697,13 @@ def numeric_leaves(node, path=()):
         yield path
 
 
+def leaf(node, path):
+    """The value at `path` in `node`."""
+    for part in path:
+        node = node[part]
+    return node
+
+
 def hostile_override(path, value) -> str:
     """`section.key=...` that sets the leaf at `path` of defaults.yaml to
     `value` and keeps every other entry of that key at its default."""
@@ -709,8 +716,21 @@ def hostile_override(path, value) -> str:
     return f"{section}.{key}={json.dumps(tree[key])}"
 
 
+def wrong_shapes(path, x):
+    """(path, value) pairs that put an empty list, a ragged one or a
+    nested scalar where the leaf at `path`, of default `x`, is due; where
+    that leaf is a list entry, also a scalar, an empty or a ragged list
+    where the list is due."""
+    shapes = ([], [[x, x], [x]], [[x]])
+    yield from ((path, value) for value in shapes)
+    if path[-1] == 0:
+        yield from ((path[:-1], value) for value in (x, *shapes[:2]))
+
+
 HOSTILE = [hostile_override(path, value) for path in numeric_leaves(_DEFAULTS)
-           for value in (1e-320, 1e308, -1.0, 0.0)]
+           for value in (1e-320, 1e308, -1.0, 0.0)] + [
+    hostile_override(*pair) for path in numeric_leaves(_DEFAULTS)
+    for pair in wrong_shapes(path, leaf(_DEFAULTS, path))]
 
 
 def quiet_main(argv):
@@ -721,7 +741,7 @@ def quiet_main(argv):
     return code, printed.getvalue()
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@settings(derandomize=True, database=None, deadline=None, max_examples=len(HOSTILE))
 @given(st.sampled_from(HOSTILE))
 @example("vehicle.K=[1e-320,40,40,40]")
 @example("trajectory.segments=[{mode: turn, duration: 10, speed: 1, "

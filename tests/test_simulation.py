@@ -181,24 +181,31 @@ class TestFaultSchedule:
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"decimation": 2.5}, "decimation must be a whole number, got 2.5"),
-    ({"decimation": math.nan}, "decimation must be a whole number, got nan"),
-    ({"faults": (FaultEvent(60.0, 1.0, 0.5),)},
-     "fault event at t=60.0: thruster index 1.0 is not a whole number"),
+    ({"decimation": 2.5}, "sim.decimation: expected a whole number, got 2.5"),
+    ({"decimation": math.nan}, "sim.decimation: must be finite, got nan"),
+    ({"faults": (FaultEvent(60.0, 1.5, 0.5),)},
+     "faults[0].thruster: expected a whole number, got 1.5"),
     ({"faults": (FaultEvent(60.0, True, 0.5),)},
-     "fault event at t=60.0: thruster index True is not a whole number"),
+     "faults[0].thruster: expected a whole number, got True"),
     ({"settle_time": math.nan, "faults": (FaultEvent(1.0, 1, 0.5),)},
-     "settle_time must be finite"),
+     "sim.settle_time: must be finite, got nan"),
     ({"faults": (FaultEvent(math.nan, 1, 0.5),)},
-     "fault event at t=nan: time must be finite"),
+     "faults[0].time: must be finite, got nan"),
     ({"initial_state": [0.0, 0.0, math.nan, 0.0, 0.0, 0.0]},
-     "initial_state entries must be finite"),
+     "sim.initial_state: must be finite, got nan"),
 ], ids=["fractional-decimation", "nan-decimation", "float-thruster",
         "bool-thruster", "nan-settle-time", "nan-fault-time", "nan-initial-state"])
 def test_constructor_rejects_what_a_file_would(change, message):
     sc = make_scenario(sim={"duration": 100.0})
     with pytest.raises(ValueError, match=re.escape(message)):
         dataclasses.replace(sc, **change)
+
+
+def test_constructor_takes_an_integral_float_count_as_a_file_does():
+    sc = make_scenario(sim={"duration": 100.0})
+    built = dataclasses.replace(sc, faults=(FaultEvent(60.0, 1.0, 0.5),), decimation=3.0)
+    assert built.faults[0].thruster == 1 and type(built.faults[0].thruster) is int
+    assert built.decimation == 3 and type(built.decimation) is int
 
 
 def test_weight_floors_must_agree():

@@ -115,7 +115,7 @@ class TestSegments:
 
     @pytest.mark.parametrize("duration", [math.nan, math.inf])
     def test_duration_must_be_finite(self, duration):
-        with pytest.raises(ValueError, match="segment duration must be finite"):
+        with pytest.raises(ValueError, match="^duration: must be finite"):
             Segment("straight", duration, speed=1.0)
 
     def test_negative_time_rejected(self, demo_plan):

@@ -341,6 +341,6 @@ class TestPositiveDefinite:
         mats = {"inertia": np.eye(3), "B": np.eye(3)}
         mats[name][where] = mats[name][where[::-1]] = math.nan
         # a ValueError of the model's own, not numpy's LinAlgError
-        with pytest.raises(ValueError, match=f"^{name} must be"):
+        with pytest.raises(ValueError, match=f"^vehicle.{name}: must be finite"):
             VehicleParams(lin_damping=np.eye(3), quad_damping=np.ones(3),
                           **mats)
