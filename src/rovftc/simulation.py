@@ -37,6 +37,7 @@ from __future__ import annotations
 import linecache
 import math
 import re
+import struct
 import time
 from array import array
 from dataclasses import dataclass, field, fields
@@ -70,6 +71,15 @@ COLUMNS = (
     "tau_u", "tau_v", "tau_r",
     "V2",
 )
+#: one kept row as the float64 bytes `array.frombytes` takes: a single C
+#: call, where `array.extend` converts the row entry by entry
+_pack_row = struct.Struct(f"{len(COLUMNS)}d").pack
+#: `write_csv` formats a column whose bits change in fewer than 1/STEADY of
+#: the rows once per run of equal values: runs that long repay their template
+STEADY = 64
+#: rows per copy of the live cells in `write_csv`: the copies stay a few
+#: pages, where one of the whole record would raise the peak memory
+CHUNK_ROWS = 256
 
 
 class FaultEvent(NamedTuple):
@@ -203,13 +213,38 @@ class SimResult:
         return self.rows[:, COLUMNS.index(name)]
 
     def write_csv(self, path):
-        """Formats each row straight from the float64 data, no list copy."""
-        width = len(self.columns)
-        cells = iter(memoryview(np.ascontiguousarray(self.rows, dtype=float).ravel()))
-        line = ",".join(["%.12g"] * width) + "\n"
+        """Every cell as `%.12g`, one line per row, then the divergence
+        marker if the run diverged. A steady column, one whose bits
+        change in fewer than 1/STEADY of the rows, cuts the record into
+        runs where it holds still: in each run its cell is formatted once
+        into the line template, and only the live cells are formatted
+        per row, from copies of CHUNK_ROWS rows at a time."""
+        rows = np.ascontiguousarray(self.rows, dtype=float)
+        n, width = rows.shape
+        bits = rows.view(np.int64)  # bits, not values: 0.0 and -0.0 print apart
+        cut = np.zeros(n, dtype=bool)  # cut[i]: row i starts a run
+        cut[:1] = True
+        steady = []
+        for j in range(width):
+            changed = bits[1:, j] != bits[:-1, j]
+            if np.count_nonzero(changed) * STEADY < n:
+                steady.append(j)
+                cut[1:] |= changed
+        live = [j for j in range(width) if j not in steady]
+        starts = np.flatnonzero(cut).tolist()
         with open(path, "w", newline="") as fh:
             fh.write(",".join(self.columns) + "\n")
-            fh.writelines(line % row for row in zip(*[cells] * width))
+            for a, b in zip(starts, starts[1:] + [n]):
+                first = rows[a].tolist()
+                line = ",".join("%.12g" % first[j] if j in steady else "%.12g"
+                                for j in range(width)) + "\n"
+                if not live:  # no cell to format: zip() below would yield no line
+                    fh.write(line * (b - a))
+                    continue
+                for lo in range(a, b, CHUNK_ROWS):
+                    block = rows[lo:min(lo + CHUNK_ROWS, b), live]
+                    cells = iter(memoryview(block.ravel()))
+                    fh.writelines(line % row for row in zip(*[cells] * len(live)))
             if self.diverged:
                 fh.write(f"# aborted: state divergence at t={self.diverged_time:.6g}\n")
 
@@ -497,7 +532,7 @@ class Simulation:
         while self.k <= self.n_steps and self.diverged_time is None:
             row = self._cycle(self.k % sc.decimation == 0)
             if row is not None:
-                rows.extend(row)
+                rows.frombytes(_pack_row(*row))
         summary = self._build_summary(time.perf_counter() - started)
         return SimResult(sc.name, np.frombuffer(rows).reshape(-1, len(COLUMNS)),
                          summary, self.diverged_time)

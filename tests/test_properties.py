@@ -1,10 +1,12 @@
-"""Property tests over the paper's reconfiguration invariants: short runs
-that cross one or two random faults, with random update period and
-decrement; over its isolation rule, on straight legs at random heading;
-and over the rule that turns an instant into a step index. Examples are
-derandomized, so the suite stays deterministic."""
+"""Property tests over the paper's reconfiguration invariants and the
+run record: short runs that cross one or two random faults, with random
+update period and decrement; over its isolation rule, on straight legs
+at random heading; and over the rule that turns an instant into a step
+index. Examples are derandomized, so the suite stays deterministic."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -85,6 +87,29 @@ def test_step_rows_equal_run_rows(cfg):
     kept = np.concatenate([np.array(rows[::dec]), sim.run().rows])
     plain = Simulation(scenario_from_dict(cfg, name="prop")).run()
     assert kept.tobytes() == plain.rows.tobytes()
+
+
+@PROPERTY
+@given(fault_runs())
+def test_fdi_columns_finite_unless_diverged(cfg):
+    every_step = {**cfg, "sim": {**cfg["sim"], "decimation": 1}}
+    res = Simulation(scenario_from_dict(every_step, name="prop")).run()
+    if not res.diverged:
+        assert np.isfinite(res.column("residual")).all()
+        assert np.isfinite(res.column("threshold")).all()
+
+
+@PROPERTY
+@given(fault_runs())
+def test_repeated_runs_bit_identical(cfg):
+    sc = scenario_from_dict(cfg, name="prop")
+    first, second = Simulation(sc).run(), Simulation(sc).run()
+    assert first.rows.tobytes() == second.rows.tobytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = Path(tmp, "a.csv"), Path(tmp, "b.csv")
+        first.write_csv(a)
+        second.write_csv(b)
+        assert a.read_bytes() == b.read_bytes()
 
 
 @st.composite

@@ -12,7 +12,8 @@ from rovftc.allocation import achieved_wrench, allocate
 from rovftc.controller import control_law, error_rate, tracking_errors
 from rovftc.fdi import FdiConfig, detection_threshold
 from rovftc.scenario import load_scenario, scenario_from_dict
-from rovftc.simulation import COLUMNS, TIME_TOL, FaultEvent, Simulation
+from rovftc.simulation import (COLUMNS, TIME_TOL, FaultEvent, SimResult,
+                               Simulation)
 from rovftc.vehicle import VehicleState, dynamics_rhs, kinematics_rhs
 
 HALF_PI = math.pi / 2
@@ -643,3 +644,51 @@ class TestRun:
         err_coarse = np.linalg.norm(final_state(0.02) - ref)
         err_fine = np.linalg.norm(final_state(0.01) - ref)
         assert 8.0 < err_coarse / err_fine < 32.0
+
+
+def plain_csv(res):
+    """The reference writer: every cell as `%.12g`, rows joined, then the
+    divergence marker."""
+    lines = [",".join(res.columns)]
+    lines += [",".join("%.12g" % x for x in row) for row in res.rows.tolist()]
+    if res.diverged:
+        lines.append(f"# aborted: state divergence at t={res.diverged_time:.6g}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def csv_record(case):
+    """A record for `case`: 640 rows of random cells, where W1..Wh4 are
+    steady and step down twice, as the weights do in a run."""
+    rng = np.random.default_rng(7)
+    if case == "one_row":
+        return SimResult("csv", rng.standard_normal((1, len(COLUMNS))), {})
+    rows = rng.standard_normal((640, len(COLUMNS)))
+    weights = slice(COLUMNS.index("W1"), COLUMNS.index("Wh4") + 1)
+    rows[:, weights] = 1.0
+    rows[200:, weights] = 0.5
+    rows[450:, weights] = 0.25
+    fault_num, w1 = COLUMNS.index("fault_num"), COLUMNS.index("W1")
+    if case == "all_constant":
+        rows[:] = rows[0]
+    elif case == "signed_zero":
+        rows[:, fault_num] = 0.0
+        rows[1:300, fault_num] = -0.0
+    elif case == "nan_inf":
+        rows[300:, w1] = math.nan
+        rows[500:, w1 + 1] = math.inf
+        rows[550:, w1 + 2] = -math.inf
+        rows[::7, 0] = -math.inf
+        rows[::11, 1] = math.nan
+        rows[::13, 2] = math.inf
+    elif case == "last_row":
+        rows[:, fault_num] = 0.0
+        rows[-1, fault_num] = 1.0
+    return SimResult("csv", rows, {}, 6.4 if case == "diverged" else None)
+
+
+@pytest.mark.parametrize("case", ["one_row", "all_constant", "signed_zero",
+                                  "nan_inf", "last_row", "diverged"])
+def test_write_csv_matches_plain_writer(case, tmp_path):
+    res = csv_record(case)
+    res.write_csv(tmp_path / "record.csv")
+    assert (tmp_path / "record.csv").read_bytes() == plain_csv(res)
