@@ -7,9 +7,8 @@ from .allocation import AllocationResult, achieved_wrench, allocate, pseudo_inve
 from .controller import (ControllerGains, ReferenceSample, TrackingErrors,
                          control_law, lyapunov_value, stabilization_derivative,
                          stabilization_function, tracking_errors)
-from .fdi import (FdiConfig, FdiEngine, FdiState, detection_threshold,
-                  identify_fault, predict_sign_pattern, reconfigure_step,
-                  residual)
+from .fdi import (FdiConfig, FdiEngine, detection_threshold, identify_fault,
+                  predict_sign_pattern, reconfigure_step, residual)
 from .scenario import (ScenarioError, list_presets, load_scenario,
                        scenario_from_dict, validate_scenario)
 from .simulation import COLUMNS, FaultEvent, Scenario, SimResult, Simulation

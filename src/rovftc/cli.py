@@ -34,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one scenario, write CSV + summary")
     run.add_argument("scenario", help="scenario file path or preset name")
     batch = sub.add_parser("batch", help="run several scenarios, print a table")
-    batch.add_argument("scenarios", nargs="*",
+    batch.add_argument("scenarios", nargs="+",
                        help="scenario file paths or preset names")
     val = sub.add_parser("validate", help="schema and invariant check only")
     val.add_argument("scenario", help="scenario file path or preset name")
@@ -122,7 +122,7 @@ def _cmd_batch(args) -> int:
     fork = "fork" in multiprocessing.get_all_start_methods()
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    workers = max(1, min(len(scenarios), cpus))
+    workers = min(len(scenarios), cpus)
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(
             "fork" if fork else None)) as pool:
         outcomes = list(pool.map(partial(_run_member, Path(args.out),

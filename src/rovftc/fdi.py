@@ -5,7 +5,8 @@ Detection compares a scalar residual built from the pose error against a
 threshold; identification matches the observed error-rate signs against
 the sign signature each thruster would imprint if its output dropped;
 reconfiguration walks the estimated weight of the isolated thruster down
-until the residual re-enters the threshold.
+until the residual re-enters the threshold. `FdiEngine` runs that loop on
+the step clock: it takes and logs step indices k, and never a time.
 
 The sign signature of thruster i (1-based) with command u_i at heading
 psi: losing output removes the force K_i W_i u_i along column b_i of the
@@ -21,7 +22,7 @@ dead-band or the geometric factor is too small to act on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,19 +58,6 @@ class FdiConfig:
             raise ValueError("fdi.delta_w must be below 1")
         if self.n_consec < 1:
             raise ValueError("fdi.n_consec must be at least 1")
-
-
-@dataclass
-class FdiState:
-    armed: bool = False          # detection enabled once tracking has settled
-    b_trig: bool = False
-    fault_num: int | None = None  # identified thruster, 1-based
-    w_samples: int = 0           # samples since identification / last update
-    residual: float = 0.0
-    threshold: float = 0.0
-    consec_above: int = 0
-    identified_log: list = field(default_factory=list)  # (time, thruster)
-    trigger_log: list = field(default_factory=list)     # (time, rising: bool)
 
 
 def residual(e_eta, c1: float) -> float:
@@ -145,69 +133,79 @@ def reconfigure_step(w_hat, fault_num: int, cfg: FdiConfig,
 
 class FdiEngine:
     """Detection / identification / reconfiguration loop, run once per
-    control step.
+    control step k; a reader that wants seconds takes k * dt.
 
     Detection is enabled only after the residual has first settled below
     the threshold, so the start-up transient never trips it; after a
     handled fault the falling trigger edge re-arms the loop for the next
-    one. It counts samples, not seconds: the weight of the isolated
-    thruster is stepped down every `period` samples (t_s / dt) while the
-    trigger holds, and a joint sample opens a hold window of itself and
-    `hold` more samples (joint_hold / dt).
+    one. The weight of the isolated thruster is stepped down every
+    `period` steps (t_s / dt) while the trigger holds, and each step in
+    `joints`, where a segment joint acts, opens a hold window of itself
+    and `hold` more steps (joint_hold / dt). State lives on the engine;
+    `trigger_log` holds (k, rising) and `identified_log` (k, thruster).
     """
 
     def __init__(self, cfg: FdiConfig, geom: ThrusterGeometry,
-                 period: int, hold: int):
+                 period: int, hold: int, joints):
         self.cfg = cfg
         self.geom = geom
-        self.period, self.hold = period, hold
-        self.state = FdiState()
-        self._hold_left = -1  # hold-window samples after this one; < 0: closed
+        self.period, self.hold = whole(period, "period"), whole(hold, "hold")
+        if self.period < 1:
+            raise ValueError(f"period: must be at least 1 step, got {period!r}")
+        if self.hold < 0:
+            raise ValueError(f"hold: must be at least 0 steps, got {hold!r}")
+        self.joints = frozenset(joints)
+        self.armed = False   # detection enabled once tracking has settled
+        self.b_trig = False
+        self.fault_num = None  # identified thruster, 1-based
+        self.w_samples = 0   # steps since identification / last update
+        self.residual = self.threshold = 0.0
+        self.consec_above = 0
+        self.trigger_log, self.identified_log = [], []
+        self._hold_left = -1  # hold-window steps after this one; < 0: closed
         # the threshold outside and inside a hold window, by `_hold_left >= 0`
         self._thresholds = (detection_threshold(cfg), detection_threshold(cfg, True))
 
-    def update(self, t: float, e_eta, e_eta_dot, u_cmd, psi: float,
-               joint: bool) -> int | None:
-        """Advance one sample, taken at time t; `joint` marks the sample at
-        which a segment joint acts. Returns the thruster index (1-based)
-        whose weight estimate is due for a decrement, else None. The
-        caller owns the estimates and applies `reconfigure_step`."""
-        cfg, st = self.cfg, self.state
-        self._hold_left = self.hold if joint else self._hold_left - 1
-        st.residual = residual(e_eta, cfg.c1)
-        st.threshold = self._thresholds[self._hold_left >= 0]
-        above = st.residual > st.threshold  # exactly at the threshold stays quiet
+    def update(self, k: int, e_eta, e_eta_dot, u_cmd, psi: float) -> int | None:
+        """Advance to step k. Returns the thruster index (1-based) whose
+        weight estimate is due for a decrement, else None. The caller owns
+        the estimates and applies `reconfigure_step`."""
+        cfg = self.cfg
+        self._hold_left = self.hold if k in self.joints else self._hold_left - 1
+        self.residual = residual(e_eta, cfg.c1)
+        self.threshold = self._thresholds[self._hold_left >= 0]
+        above = self.residual > self.threshold  # at the threshold stays quiet
 
-        if not st.armed:
+        if not self.armed:
             if not above:
-                st.armed = True
+                self.armed = True
             return None
 
-        if not st.b_trig:
-            st.consec_above = st.consec_above + 1 if above else 0
-            if st.consec_above >= cfg.n_consec:
-                st.b_trig = True
-                st.trigger_log.append((t, True))
+        if not self.b_trig:
+            self.consec_above = self.consec_above + 1 if above else 0
+            if self.consec_above >= cfg.n_consec:
+                self.b_trig = True
+                self.trigger_log.append((k, True))
             return None
 
         # trigger active
         if not above:
             # falling edge: re-arm for the next sequential fault
-            st.b_trig = False
-            st.fault_num = None
-            st.w_samples = 0
-            st.consec_above = 0
-            st.trigger_log.append((t, False))
+            self.b_trig = False
+            self.fault_num = None
+            self.w_samples = 0
+            self.consec_above = 0
+            self.trigger_log.append((k, False))
             return None
 
-        if st.fault_num is None:
-            st.fault_num = identify_fault(e_eta_dot, u_cmd, psi, cfg, self.geom)
-            if st.fault_num is None:
-                return None  # unresolved: retry on the next sample
-            st.identified_log.append((t, st.fault_num))
+        if self.fault_num is None:
+            self.fault_num = identify_fault(e_eta_dot, u_cmd, psi, cfg, self.geom)
+            if self.fault_num is None:
+                return None  # unresolved: retry on the next step
+            self.identified_log.append((k, self.fault_num))
 
-        st.w_samples += 1
-        if st.w_samples >= self.period:
-            st.w_samples = 0
-            return st.fault_num
+        self.w_samples += 1
+        if self.w_samples >= self.period:
+            self.w_samples = 0
+            return self.fault_num
         return None

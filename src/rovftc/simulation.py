@@ -5,14 +5,14 @@ load: a fault event or segment joint acts at the first step that starts
 at or after it (`step_index`); the update period and the joint hold
 window are whole numbers of steps. One function, `Simulation._cycle`,
 runs a step from top to bottom for both `step()` and `run()`: apply the
-fault events and flag the segment joints due at the step, take the
-controller/allocation snapshot at the step start, run the
-detection/identification/reconfiguration loop on it, update the running
-summary and build the row, then, unless the step ends the run,
-integrate the vehicle over it with classic fourth-order Runge-Kutta.
-The step that leaves the divergence limits is the last. The feedback
-law is evaluated inside every integration stage, so on smooth segments
-the global error scales with dt^4.
+fault events due at the step, take the controller/allocation snapshot at
+the step start, hand it with k to the detection/identification/
+reconfiguration loop (`FdiEngine`, which holds the joint steps and logs
+steps, not times), update the running summary and build the row, then,
+unless the step ends the run, integrate the vehicle over it with classic
+fourth-order Runge-Kutta. The step that leaves the divergence limits is
+the last. The feedback law is evaluated inside every integration stage,
+so on smooth segments the global error scales with dt^4.
 
 The inner loop is written with unrolled scalar arithmetic; the matrix
 form of every formula lives in `vehicle`, `controller` and `allocation`,
@@ -383,8 +383,8 @@ class Simulation:
         self.scenario = scenario
         self.bank = scenario.bank.copy()
         self.plan = scenario.plan
-        self.engine = FdiEngine(scenario.fdi, scenario.geometry,
-                                scenario.update_steps, scenario.hold_steps)
+        self.engine = FdiEngine(scenario.fdi, scenario.geometry, scenario.update_steps,
+                                scenario.hold_steps, scenario.joint_steps)
         self.dt = scenario.dt
         self.n_steps = scenario.n_steps
         self.k = 0
@@ -396,7 +396,6 @@ class Simulation:
         self._event_idx = 0  # events applied; also the open fault window
         self._events = scenario.faults
         self._event_steps = (*scenario.event_steps, self.n_steps + 1)  # last: never due
-        self._joint_steps = frozenset(scenario.joint_steps)
         self._g1 = tuple(scenario.gains.gamma1.tolist())
         self._g2 = tuple(scenario.gains.gamma2.tolist())
         self._k_bad = -1  # running summary: last boundary with |e_eta| > 0.05
@@ -443,25 +442,24 @@ class Simulation:
         if t_end != t:
             ref = self.plan.sample_flat(t)
         c = self._control(s, ref)
-        due = self.engine.update(t, c[6:9], c[9:12], c[15:19], s[2],
-                                 k in self._joint_steps)
+        eng = self.engine
+        due = eng.update(k, c[6:9], c[9:12], c[15:19], s[2])
         if due is not None:
-            self.bank.w_hat = reconfigure_step(self.bank.w_hat, due,
-                                               self.engine.cfg, self.bank.w_min)
+            self.bank.w_hat = reconfigure_step(self.bank.w_hat, due, eng.cfg,
+                                               self.bank.w_min)
             self._rebind()
             c = self._control(s, ref)  # commands the plant will now receive
         if c[25]:
             self.saturation_steps += 1
 
-        st = self.engine.state
-        res = st.residual
+        res = eng.residual
         if math.sqrt(c[6] * c[6] + c[7] * c[7] + c[8] * c[8]) > 0.05:
             self._k_bad = k
         if res > self._max_res:
             self._max_res = res
-        if st.armed and res > self._max_res_armed:
+        if eng.armed and res > self._max_res_armed:
             self._max_res_armed = res
-        if res > st.threshold:
+        if res > eng.threshold:
             self._win_above[self._event_idx] = k
         row = None
         if want_row:
@@ -473,9 +471,9 @@ class Simulation:
                 v2 = math.inf
             row = (t, *s, ref[0], ref[1], wrap_angle(ref[2]),
                    c[6], c[7], c[8],
-                   st.residual, st.threshold,
-                   1.0 if st.b_trig else 0.0,
-                   float(st.fault_num or 0),
+                   res, eng.threshold,
+                   1.0 if eng.b_trig else 0.0,
+                   float(eng.fault_num or 0),
                    *self._weights,
                    *c[15:25],  # u1..u4, tau_c, tau
                    v2)
@@ -541,10 +539,11 @@ class Simulation:
 
     def _build_summary(self, runtime) -> dict:
         """The summary of every boundary seen so far, from the running
-        values; step k starts at k * dt."""
+        values and the engine's logs, all in steps; step k starts at k * dt,
+        the one conversion made as the dict is written."""
         sc = self.scenario
         dt = self.dt
-        st = self.engine.state
+        eng = self.engine
         last, bad = self.k - 1, self._k_bad  # the last boundary seen
         # convergence time: |e_eta| stays within 0.05 from t_c onward
         t_c = 0.0 if bad < 0 else None if bad == last else (bad + 1) * dt
@@ -555,15 +554,13 @@ class Simulation:
         for j, ev in enumerate(self._events):
             rises, idents, reconv = [], [], None
             if j < self._event_idx:
-                t0, t_next = bounds[j] * dt, bounds[j + 1] * dt
-                rises = [tt for tt, rising in st.trigger_log
-                         if rising and t0 <= tt < t_next]
-                idents = [(tt, num) for tt, num in st.identified_log
-                          if t0 <= tt < t_next]
+                k0, k1 = bounds[j], bounds[j + 1]
+                rises = [k for k, rising in eng.trigger_log if rising and k0 <= k < k1]
+                idents = [(k, num) for k, num in eng.identified_log if k0 <= k < k1]
                 k_above = self._win_above[j + 1]  # None: never above threshold
                 reconv = (ev.time if k_above is None else None
-                          if k_above >= bounds[j + 1] - 2 else k_above * dt + dt)
-            detected_at = rises[0] if rises else None
+                          if k_above >= k1 - 2 else k_above * dt + dt)
+            detected_at = rises[0] * dt if rises else None
             events.append({
                 "time": ev.time,
                 "thruster": ev.thruster,
@@ -572,7 +569,7 @@ class Simulation:
                 "detection_latency": (detected_at - ev.time
                                       if detected_at is not None else None),
                 "identified": idents[0][1] if idents else None,
-                "identified_at": idents[0][0] if idents else None,
+                "identified_at": idents[0][0] * dt if idents else None,
                 "reconverged_at": reconv,
                 "w_hat_error": float(abs(self.bank.w_hat[ev.thruster - 1]
                                          - self.bank.w_true[ev.thruster - 1])),
@@ -589,8 +586,8 @@ class Simulation:
             "t_c": t_c,
             "max_residual": self._max_res,
             "max_residual_after_arming": self._max_res_armed,
-            "trigger_count": sum(1 for _, rising in st.trigger_log if rising),
-            "identifications": list(st.identified_log),
+            "trigger_count": sum(1 for _, rising in eng.trigger_log if rising),
+            "identifications": [(k * dt, num) for k, num in eng.identified_log],
             "saturation_steps": self.saturation_steps,
             "final_w_true": self.bank.w_true.tolist(),
             "final_w_hat": self.bank.w_hat.tolist(),

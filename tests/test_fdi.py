@@ -12,13 +12,11 @@ from rovftc.vehicle import ThrusterGeometry
 
 ALPHA = math.pi / 4.0
 
-JOINT = True    # the sample at which a segment joint acts
-SMOOTH = False  # ... and any other sample
 
-
-def make_engine(cfg, geom):
-    """An engine sampled every 0.01 s."""
-    return FdiEngine(cfg, geom, round(cfg.t_s / 0.01), round(cfg.joint_hold / 0.01))
+def make_engine(cfg, geom, joints=()):
+    """An engine stepped every 0.01 s, with segment joints at `joints`."""
+    return FdiEngine(cfg, geom, round(cfg.t_s / 0.01), round(cfg.joint_hold / 0.01),
+                     joints)
 
 # sign rows for a degraded first thruster, indexed by
 # (u1 sign, cos(psi - alpha) sign, sin(psi - alpha) sign)
@@ -72,12 +70,13 @@ class TestThreshold:
     def test_widened_at_joint_sample(self, fdi_cfg, geom):
         # the joint sample is the first of its own hold window, even with
         # no hold after it
-        engine = make_engine(dataclasses.replace(fdi_cfg, joint_hold=0.0), geom)
+        engine = make_engine(dataclasses.replace(fdi_cfg, joint_hold=0.0), geom,
+                             joints=(1,))
         widened = detection_threshold(fdi_cfg, in_hold_window=True)
         thresholds = []
-        for joint in (SMOOTH, JOINT, SMOOTH):
-            engine.update(0.0, np.zeros(3), np.zeros(3), np.zeros(4), 0.0, joint)
-            thresholds.append(engine.state.threshold)
+        for k in range(3):
+            engine.update(k, np.zeros(3), np.zeros(3), np.zeros(4), 0.0)
+            thresholds.append(engine.threshold)
         assert thresholds == [detection_threshold(fdi_cfg), widened,
                               detection_threshold(fdi_cfg)]
 
@@ -192,14 +191,23 @@ class TestConfigValidation:
         cfg = FdiConfig(f_smooth=0.0, joint_widen=0.0, joint_hold=0.0)
         assert cfg.f_smooth == 0.0
 
+    @pytest.mark.parametrize("period, hold, name", [
+        (math.nan, 0, "period"), (0, 0, "period"), (2.5, 0, "period"),
+        (True, 0, "period"), (1, -3, "hold")])
+    def test_engine_counts_are_whole_and_in_range(self, fdi_cfg, geom,
+                                                  period, hold, name):
+        # a NaN period would never come due: reconfiguration would go quiet
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            FdiEngine(fdi_cfg, geom, period, hold, ())
+
 
 def drive(engine, samples):
-    """Feed (t, e_eta, e_dot, u, psi, joint) tuples; collect decrements."""
+    """Feed (k, e_eta, e_dot, u, psi) tuples; collect (k, decrement)."""
     updates = []
-    for t, e_eta, e_dot, u, psi, joint in samples:
-        due = engine.update(t, e_eta, e_dot, u, psi, joint)
+    for k, e_eta, e_dot, u, psi in samples:
+        due = engine.update(k, e_eta, e_dot, u, psi)
         if due is not None:
-            updates.append((t, due))
+            updates.append((k, due))
     return updates
 
 
@@ -209,134 +217,125 @@ class TestEngine:
     FAULT_E = np.array([0.1, -0.1, 0.15])          # residual 0.37 > 0.31
     FAULT_EDOT = np.array([0.1, 0.1, -0.05])       # first-thruster signature at PSI
 
-    def quiet(self, t):
-        return (t, np.zeros(3), np.zeros(3), self.CRUISE_U, self.PSI, SMOOTH)
+    def quiet(self, k):
+        return (k, np.zeros(3), np.zeros(3), self.CRUISE_U, self.PSI)
 
-    def faulted(self, t, e_dot=None):
+    def faulted(self, k, e_dot=None):
         e_dot = self.FAULT_EDOT if e_dot is None else e_dot
-        return (t, self.FAULT_E, e_dot, self.CRUISE_U, self.PSI, SMOOTH)
+        return (k, self.FAULT_E, e_dot, self.CRUISE_U, self.PSI)
 
     def test_arms_only_after_settling(self, fdi_cfg, geom):
         engine = make_engine(fdi_cfg, geom)
         # large residual before the loop has ever settled: ignored
         for k in range(50):
-            engine.update(k * 0.01, [3.0, 4.0, 0.0], np.zeros(3),
-                          self.CRUISE_U, self.PSI, SMOOTH)
-        assert not engine.state.armed
-        assert not engine.state.b_trig
-        engine.update(0.5, np.zeros(3), np.zeros(3), self.CRUISE_U,
-                      self.PSI, SMOOTH)
-        assert engine.state.armed
+            engine.update(k, [3.0, 4.0, 0.0], np.zeros(3), self.CRUISE_U, self.PSI)
+        assert not engine.armed
+        assert not engine.b_trig
+        engine.update(50, np.zeros(3), np.zeros(3), self.CRUISE_U, self.PSI)
+        assert engine.armed
 
     def test_debounce_then_trigger_and_identify(self, fdi_cfg, geom):
         engine = make_engine(fdi_cfg, geom)
-        drive(engine, [self.quiet(0.0)])
+        drive(engine, [self.quiet(0)])
         for k in range(fdi_cfg.n_consec - 1):
-            drive(engine, [self.faulted(0.01 * (k + 1))])
-            assert not engine.state.b_trig
-        drive(engine, [self.faulted(0.01 * fdi_cfg.n_consec)])
-        assert engine.state.b_trig
+            drive(engine, [self.faulted(k + 1)])
+            assert not engine.b_trig
+        drive(engine, [self.faulted(fdi_cfg.n_consec)])
+        assert engine.b_trig
         # identification happens on the first triggered sample
-        drive(engine, [self.faulted(0.01 * (fdi_cfg.n_consec + 1))])
-        assert engine.state.fault_num == 1
-        assert engine.state.identified_log[0][1] == 1
+        drive(engine, [self.faulted(fdi_cfg.n_consec + 1)])
+        assert engine.fault_num == 1
+        assert engine.identified_log[0][1] == 1
 
     def test_residual_at_threshold_stays_quiet(self, fdi_cfg, geom):
         # detection is a strict comparison: a residual that equals the
         # threshold exactly never counts as above it
         engine = make_engine(fdi_cfg, geom)
-        drive(engine, [self.quiet(0.0)])
+        drive(engine, [self.quiet(0)])
         at = np.array([detection_threshold(fdi_cfg), 0.0, 0.0])
         for k in range(3 * fdi_cfg.n_consec):
-            drive(engine, [(0.01 * (k + 1), at, self.FAULT_EDOT,
-                            self.CRUISE_U, self.PSI, SMOOTH)])
-            assert engine.state.residual == engine.state.threshold
-        assert engine.state.armed
-        assert engine.state.consec_above == 0
-        assert not engine.state.b_trig and engine.state.trigger_log == []
+            drive(engine, [(k + 1, at, self.FAULT_EDOT, self.CRUISE_U, self.PSI)])
+            assert engine.residual == engine.threshold
+        assert engine.armed
+        assert engine.consec_above == 0
+        assert not engine.b_trig and engine.trigger_log == []
 
     def test_single_spike_rejected(self, fdi_cfg, geom):
         engine = make_engine(fdi_cfg, geom)
-        drive(engine, [self.quiet(0.0)])
-        drive(engine, [self.faulted(0.01), self.quiet(0.02),
-                       self.faulted(0.03), self.quiet(0.04)])
-        assert not engine.state.b_trig
+        drive(engine, [self.quiet(0)])
+        drive(engine, [self.faulted(1), self.quiet(2),
+                       self.faulted(3), self.quiet(4)])
+        assert not engine.b_trig
 
     def test_identification_retries_until_clear(self, fdi_cfg, geom):
         engine = make_engine(fdi_cfg, geom)
-        drive(engine, [self.quiet(0.0)])
-        t = 0.01
+        drive(engine, [self.quiet(0)])
+        k = 1
         for _ in range(fdi_cfg.n_consec):
-            drive(engine, [self.faulted(t, e_dot=np.zeros(3))])
-            t += 0.01
-        assert engine.state.b_trig
+            drive(engine, [self.faulted(k, e_dot=np.zeros(3))])
+            k += 1
+        assert engine.b_trig
         # ambiguous rates: nothing identified, no weight update
         for _ in range(int(fdi_cfg.t_s / 0.01) + 10):
-            updates = drive(engine, [self.faulted(t, e_dot=np.zeros(3))])
+            updates = drive(engine, [self.faulted(k, e_dot=np.zeros(3))])
             assert updates == []
-            t += 0.01
-        assert engine.state.fault_num is None
+            k += 1
+        assert engine.fault_num is None
         # rates become readable: identified on the next sample
-        drive(engine, [self.faulted(t)])
-        assert engine.state.fault_num == 1
+        drive(engine, [self.faulted(k)])
+        assert engine.fault_num == 1
 
     def test_decrement_cadence_after_identification(self, fdi_cfg, geom):
         engine = make_engine(fdi_cfg, geom)
-        drive(engine, [self.quiet(0.0)])
-        t = 0.01
+        drive(engine, [self.quiet(0)])
         updates = []
-        for _ in range(int(2.5 * fdi_cfg.t_s / 0.01)):
-            updates += drive(engine, [self.faulted(t)])
-            t += 0.01
+        for k in range(1, 1 + int(2.5 * fdi_cfg.t_s / 0.01)):
+            updates += drive(engine, [self.faulted(k)])
         assert len(updates) == 2
         assert all(num == 1 for _, num in updates)
         gap = updates[1][0] - updates[0][0]
-        assert gap == pytest.approx(fdi_cfg.t_s, abs=0.02)
+        assert gap == round(fdi_cfg.t_s / 0.01)
 
     def test_decrement_period_in_whole_samples(self, fdi_cfg, geom):
         # 5 000 samples, where 5 000 additions of 0.01 fall 1.4e-12 short of 50.0
         engine = make_engine(dataclasses.replace(fdi_cfg, t_s=50.0), geom)
-        drive(engine, [self.quiet(0.0)])
-        due = [k for k in range(1, 10_200) if drive(engine, [self.faulted(0.01 * k)])]
+        drive(engine, [self.quiet(0)])
+        due = [k for k in range(1, 10_200) if drive(engine, [self.faulted(k)])]
         assert len(due) == 2
         assert due[1] - due[0] == 5000
 
     def test_falling_edge_rearms(self, fdi_cfg, geom):
         engine = make_engine(fdi_cfg, geom)
-        drive(engine, [self.quiet(0.0)])
-        t = 0.01
+        drive(engine, [self.quiet(0)])
+        k = 1
         for _ in range(fdi_cfg.n_consec + 2):
-            drive(engine, [self.faulted(t)])
-            t += 0.01
-        assert engine.state.b_trig
-        drive(engine, [self.quiet(t)])
-        st = engine.state
-        assert not st.b_trig
-        assert st.fault_num is None and st.w_samples == 0
+            drive(engine, [self.faulted(k)])
+            k += 1
+        assert engine.b_trig
+        drive(engine, [self.quiet(k)])
+        assert not engine.b_trig
+        assert engine.fault_num is None and engine.w_samples == 0
         # a second fault triggers a fresh episode
-        t += 0.01
+        k += 1
         for _ in range(fdi_cfg.n_consec + 1):
-            drive(engine, [self.faulted(t)])
-            t += 0.01
-        assert engine.state.b_trig
-        rises = [tt for tt, rising in engine.state.trigger_log if rising]
+            drive(engine, [self.faulted(k)])
+            k += 1
+        assert engine.b_trig
+        rises = [kk for kk, rising in engine.trigger_log if rising]
         assert len(rises) == 2
 
     def test_hold_window_suppresses_joint_spike(self, fdi_cfg, geom):
-        engine = make_engine(fdi_cfg, geom)
-        drive(engine, [self.quiet(0.0)])
-        # joint sample opens the hold window
-        engine.update(1.0, np.zeros(3), np.zeros(3), self.CRUISE_U,
-                      self.PSI, JOINT)
+        engine = make_engine(fdi_cfg, geom, joints=(100,))
+        drive(engine, [self.quiet(0)])
+        # joint step opens the hold window
+        engine.update(100, np.zeros(3), np.zeros(3), self.CRUISE_U, self.PSI)
         spike = np.array([0.2, 0.2, 0.2])  # residual 0.54: above 0.31, below 0.61
         for k in range(3 * fdi_cfg.n_consec):
-            engine.update(1.01 + 0.01 * k, spike, np.zeros(3),
-                          self.CRUISE_U, self.PSI, SMOOTH)
-        assert not engine.state.b_trig
+            engine.update(101 + k, spike, np.zeros(3), self.CRUISE_U, self.PSI)
+        assert not engine.b_trig
         # same spike outside the window trips it
         engine2 = make_engine(fdi_cfg, geom)
-        drive(engine2, [self.quiet(0.0)])
+        drive(engine2, [self.quiet(0)])
         for k in range(fdi_cfg.n_consec + 1):
-            engine2.update(1.01 + 0.01 * k, spike, np.zeros(3),
-                           self.CRUISE_U, self.PSI, SMOOTH)
-        assert engine2.state.b_trig
+            engine2.update(101 + k, spike, np.zeros(3), self.CRUISE_U, self.PSI)
+        assert engine2.b_trig

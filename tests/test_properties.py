@@ -72,10 +72,10 @@ def test_only_identified_estimate_moves(cfg):
     for sim, before, _ in stepped(cfg):
         moved = np.flatnonzero(sim.bank.w_hat != before)
         if moved.size:
-            state = sim.engine.state
-            assert list(moved) == [state.fault_num - 1], (
+            engine = sim.engine
+            assert list(moved) == [engine.fault_num - 1], (
                 sim.k, before, sim.bank.w_hat)
-            assert state.identified_log[-1][1] == state.fault_num
+            assert engine.identified_log[-1][1] == engine.fault_num
 
 
 @PROPERTY

@@ -458,10 +458,14 @@ class TestCli:
                          *extra]) in (0, 3)
             assert "Traceback" not in capsys.readouterr().err
 
-    def test_empty_batch(self, tmp_path, capsys):
-        assert main(["batch", "--out", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "scenario" in out  # header only
+    def test_empty_batch(self, tmp_path):
+        # argparse refuses it with its usage line, before any worker starts
+        proc = subprocess.run([sys.executable, "-m", "rovftc.cli", "batch",
+                               "--out", str(tmp_path)], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: rovftc batch")
+        assert "Traceback" not in proc.stderr
 
     def test_batch_table(self, tmp_path, capsys):
         a = self.short_scenario(tmp_path, name="a")

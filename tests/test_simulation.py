@@ -62,16 +62,29 @@ def two_fault_cfg():
     return cfg
 
 
+def between_steps_cfg():
+    """`two_fault_cfg` with each fault 5 ms after a step starts, half way
+    to the next at dt = 0.01: each acts, and opens its window, at the
+    step after."""
+    cfg = two_fault_cfg()
+    for ev, time in zip(cfg["faults"], (2.005, 10.005)):
+        ev["time"] = time
+    return cfg
+
+
 def start_up_cfg():
     """12 fault-free seconds from rest, off the reference: the tracking
     error converges."""
     return {"sim": {"duration": 12.0}}
 
 
-def oracle_summary(residual, threshold, enorm, dt, events):
+def oracle_summary(residual, threshold, enorm, b_trig, fault_num, dt,
+                   events, event_steps):
     """The summary fields that depend on every step, from whole-run
-    arrays of (residual, threshold, |e_eta|) per step boundary."""
-    residual, threshold, enorm = map(np.array, (residual, threshold, enorm))
+    arrays of (residual, threshold, |e_eta|, b_trig, fault_num) per step
+    boundary."""
+    residual, threshold, enorm, b_trig, fault_num = map(
+        np.array, (residual, threshold, enorm, b_trig, fault_num))
     n = len(residual)
     times = np.arange(n) * dt
     above = residual > threshold
@@ -95,13 +108,31 @@ def oracle_summary(residual, threshold, enorm, dt, events):
             reconverged.append(None)
         else:
             reconverged.append(float(times[win_above[-1]] + dt))
+    # window j: from the step where fault j acts to the one where the next
+    # does, or the end; its first rising trigger and its first step where
+    # the isolated thruster turns non-zero
+    def turns_on(column):
+        on = column != 0
+        return np.flatnonzero(on & ~np.r_[False, on[:-1]])
+
+    rises, names = turns_on(b_trig), turns_on(fault_num)
+    detected, identified, identified_at = [], [], []
+    for k0, k1 in zip(event_steps, (*event_steps[1:], n)):
+        rise = rises[(rises >= k0) & (rises < k1)]
+        name = names[(names >= k0) & (names < k1)]
+        detected.append(int(rise[0]) * dt if rise.size else None)
+        identified.append(int(fault_num[name[0]]) if name.size else None)
+        identified_at.append(int(name[0]) * dt if name.size else None)
     armed_idx = np.flatnonzero(~above)
     first_armed = int(armed_idx[0]) if armed_idx.size else n
     return {"t_c": t_c,
             "max_residual": float(residual.max()),
             "max_residual_after_arming": (float(residual[first_armed:].max())
                                           if first_armed < n else 0.0),
-            "reconverged_at": reconverged}
+            "reconverged_at": reconverged,
+            "detected_at": detected,
+            "identified": identified,
+            "identified_at": identified_at}
 
 
 def traced_peak(fn, *args):
@@ -388,19 +419,19 @@ class TestStep:
                             {"mode": "straight", "duration": 20.0,
                              "speed": 1.0, "heading": 1.0}]}))
         update = sim.engine.update
-        flags = []
+        steps = []
 
-        def spy(t, e_eta, e_dot, u_cmd, psi, joint):
-            flags.append(joint)
-            return update(t, e_eta, e_dot, u_cmd, psi, joint)
+        def spy(k, e_eta, e_dot, u_cmd, psi):
+            steps.append(k)
+            return update(k, e_eta, e_dot, u_cmd, psi)
 
         sim.engine.update = spy
         sim.run()
-        assert len(flags) == sim.n_steps + 1
+        assert steps == list(range(sim.n_steps + 1))
         # joints at 2.3 s and 5.2 s, each a few ulps before its step time,
         # and at 25.2 s, past the run
         assert sim.scenario.joint_steps == (230, 520, 2520)
-        assert [k for k, joint in enumerate(flags) if joint] == [230, 520]
+        assert [k for k in steps if k in sim.engine.joints] == [230, 520]
 
     def test_divergence_guard(self):
         sc = make_scenario(
@@ -560,30 +591,33 @@ class TestRun:
         assert peak < 0.25 * res.rows.nbytes
 
     @pytest.mark.parametrize("make_cfg", [crossing_cfg, two_fault_cfg,
-                                          start_up_cfg])
+                                          between_steps_cfg, start_up_cfg])
     def test_summary_matches_whole_run_oracle(self, make_cfg):
         sim = Simulation(make_scenario(**make_cfg()))
-        st = sim.engine.state
-        residual, threshold, enorm = [], [], []
+        engine = sim.engine
+        residual, threshold, enorm, b_trig, fault_num = [], [], [], [], []
         e_eta = [COLUMNS.index(name) for name in ("e_x", "e_y", "e_psi")]
 
         def collect(row):
-            residual.append(st.residual)
-            threshold.append(st.threshold)
+            residual.append(engine.residual)
+            threshold.append(engine.threshold)
             enorm.append(math.sqrt(sum(row[i] * row[i] for i in e_eta)))
+            b_trig.append(row[COLUMNS.index("b_trig")])
+            fault_num.append(row[COLUMNS.index("fault_num")])
 
         for _ in range(sim.n_steps):
             collect(sim.step())
         collect(sim.run().rows[-1])  # the boundary at the end of the run
         summary = Simulation(make_scenario(**make_cfg())).run().summary
-        want = oracle_summary(residual, threshold, enorm, sim.dt, sim._events)
+        want = oracle_summary(residual, threshold, enorm, b_trig, fault_num,
+                              sim.dt, sim._events, sim.scenario.event_steps)
         assert len(residual) == sim.n_steps + 1
         assert summary["t_c"] == want["t_c"]
         assert summary["max_residual"] == want["max_residual"]
         assert (summary["max_residual_after_arming"]
                 == want["max_residual_after_arming"])
-        assert ([e["reconverged_at"] for e in summary["events"]]
-                == want["reconverged_at"])
+        for key in ("reconverged_at", "detected_at", "identified", "identified_at"):
+            assert [e[key] for e in summary["events"]] == want[key], key
 
     def test_reconvergence_needs_the_last_two_steps_quiet(self):
         # window 0 runs from the step where the first fault acts (10) to
