@@ -38,7 +38,9 @@ import linecache
 import math
 import os
 import re
+import shutil
 import struct
+import tempfile
 import time
 from array import array
 from dataclasses import dataclass, field, fields
@@ -75,13 +77,12 @@ COLUMNS = (
 #: one kept row as the float64 bytes `array.frombytes` takes: a single C
 #: call, where `array.extend` converts the row entry by entry
 _pack_row = struct.Struct(f"{len(COLUMNS)}d").pack
-#: `write_csv` formats a column whose bits change in fewer than 1/STEADY of
-#: a slice's rows once per run of equal values: runs that long repay their
-#: template
-STEADY = 64
-#: rows per copy of the live cells in `write_csv`: the copies stay a few
-#: pages, where one of the whole record would raise the peak memory
-CHUNK_ROWS = 256
+#: rows per chunk of `write_csv`, each formatted by one `%` from a copy of
+#: its live cells. Writing the streaming test's 3 001-row record (bound
+#: 0.25 * rows.nbytes = 211 KiB) peaks under `tracemalloc` (Python 3.11,
+#: numpy 2.4) at 94, 181 and 356 KiB with chunks of 64, 128 and 256 rows,
+#: and at 145, 184 and 354 KiB with 3 slices: 64 keeps a wide margin
+CHUNK_ROWS = 64
 #: `write_csv` gives a helper process a slice of at least this many rows.
 #: On a 2-core VM a fork of a 50 MB process takes about 2 ms and the copy
 #: of a 10 000-row slice (3.9 MB) about 1.5 ms, against some 80 ms to
@@ -239,8 +240,6 @@ class SimResult:
         cpus = usable_cpus()
         parts = max(1, min(len(cpus), n // SPLIT_ROWS)) if hasattr(os, "fork") else 1
         edges = [n * i // parts for i in range(parts + 1)]
-        if parts > 1:
-            import tempfile  # here, so that `import rovftc` does not load it
         folder = os.path.dirname(os.path.abspath(path))
         spills, pids = [], []  # per slice after the first; a pid leaves once reaped
         try:
@@ -260,7 +259,9 @@ class SimResult:
                     if code:
                         raise OSError(f"the helper writing rows {a}..{b - 1} of "
                                       f"{path} exited with status {code}")
-                    _append(fh, spill)
+                    fh.flush()
+                    spill.seek(0)
+                    shutil.copyfileobj(spill, fh.buffer)
                 if self.diverged:
                     fh.write(f"# aborted: state divergence at t={self.diverged_time:.6g}\n")
         finally:
@@ -292,34 +293,17 @@ def _pin(cpus):
 
 def _write_rows(fh, rows):
     """Write `rows` to the text stream `fh`, each cell as `%.12g`, one
-    line per row. A steady column, one whose bits change in fewer than
-    1/STEADY of these rows, cuts them into runs where it holds still: in
-    each run its cell is formatted once into the line template, and only
-    the live cells are formatted per row, from copies of CHUNK_ROWS rows
-    at a time."""
-    n, width = rows.shape
+    line per row, CHUNK_ROWS rows at a time. In each chunk a column whose
+    bits all equal the chunk's first row is formatted once into the
+    chunk's line template, and the live cells fill every line of the
+    chunk in one `%`."""
     bits = rows.view(np.int64)  # bits, not values: 0.0 and -0.0 print apart
-    cut = np.zeros(n, dtype=bool)  # cut[i]: row i starts a run
-    cut[:1] = True
-    steady = []
-    for j in range(width):
-        changed = bits[1:, j] != bits[:-1, j]
-        if np.count_nonzero(changed) * STEADY < n:
-            steady.append(j)
-            cut[1:] |= changed
-    live = [j for j in range(width) if j not in steady]
-    starts = np.flatnonzero(cut).tolist()
-    for a, b in zip(starts, starts[1:] + [n]):
-        first = rows[a].tolist()
-        line = ",".join("%.12g" % first[j] if j in steady else "%.12g"
-                        for j in range(width)) + "\n"
-        if not live:  # no cell to format: zip() below would yield no line
-            fh.write(line * (b - a))
-            continue
-        for lo in range(a, b, CHUNK_ROWS):
-            block = rows[lo:min(lo + CHUNK_ROWS, b), live]
-            cells = iter(memoryview(block.ravel()))
-            fh.writelines(line % row for row in zip(*[cells] * len(live)))
+    for lo in range(0, len(rows), CHUNK_ROWS):
+        chunk = rows[lo:lo + CHUNK_ROWS]
+        live = (bits[lo:lo + CHUNK_ROWS] != bits[lo]).any(axis=0)
+        line = ",".join("%.12g" if on else "%.12g" % x
+                        for x, on in zip(chunk[0].tolist(), live.tolist())) + "\n"
+        fh.write(line * len(chunk) % tuple(chunk[:, live].ravel().tolist()))
 
 
 def _write_spill(spill, rows, cpu):
@@ -335,15 +319,6 @@ def _write_spill(spill, rows, cpu):
         code = 0
     finally:
         os._exit(code)
-
-
-def _append(fh, spill):
-    """Append the whole binary file `spill` to the text stream `fh`, 64 KiB
-    at a time, so the copy never holds more than that in memory."""
-    fh.flush()
-    spill.seek(0)
-    while chunk := spill.read(1 << 16):
-        fh.buffer.write(chunk)
 
 
 #: The scalar hot path. `bind(a.., kw..)` returns `control(s, ref,

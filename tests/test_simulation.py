@@ -696,8 +696,9 @@ def plain_csv(res):
 
 
 def csv_record(case):
-    """A record for `case`: 640 rows of random cells, where W1..Wh4 are
-    steady and step down twice, as the weights do in a run."""
+    """A record for `case`: 640 rows of random cells (5 * CHUNK_ROWS + 27
+    for "chunk_edge"), where W1..Wh4 are steady and step down twice, as
+    the weights do in a run."""
     rng = np.random.default_rng(7)
     if case == "one_row":
         return SimResult("csv", rng.standard_normal((1, len(COLUMNS))), {})
@@ -733,6 +734,18 @@ def csv_record(case):
         rows[:, fault_num] = 0.0
         rows[213:, fault_num] = 1.0
         rows[426:, fault_num] = 2.0
+    elif case == "chunk_edge":
+        # b_trig changes at the last row of the first chunk, the first row
+        # of the second and the row after it; x_d moves for the first half
+        # of the record and holds after it; the fourth chunk holds still
+        c = simulation.CHUNK_ROWS
+        rows = rows[:5 * c + 27]
+        rows[:, b_trig] = 0.0
+        rows[c - 1, b_trig] = 1.0
+        rows[c, b_trig] = -0.0
+        rows[c + 1:, b_trig] = 1.0
+        rows[len(rows) // 2:, COLUMNS.index("x_d")] = 3.0
+        rows[3 * c:4 * c] = rows[3 * c]
     return SimResult("csv", rows, {}, 6.4 if case == "diverged" else None)
 
 
@@ -763,7 +776,7 @@ def slices(monkeypatch):
 
 @pytest.mark.parametrize("case", ["one_row", "all_constant", "signed_zero",
                                   "nan_inf", "last_row", "diverged",
-                                  "slice_edge"])
+                                  "slice_edge", "chunk_edge"])
 def test_write_csv_matches_plain_writer(case, tmp_path, slices, monkeypatch):
     res = csv_record(case)
     for parts in (1, 2, 3, 4, None):  # None: no os.fork, so one process
