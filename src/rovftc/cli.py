@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import multiprocessing
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from .scenario import (ScenarioError, list_presets, load_scenario,
                        validate_scenario)
-from .simulation import Scenario, Simulation, format_summary, usable_cpus
+from .simulation import Scenario, Simulation, format_summary
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -119,7 +120,8 @@ def _cmd_batch(args) -> int:
     # has, such as a BLAS pool started by `import numpy`, are not copied
     # into the workers, which never call BLAS.
     fork = "fork" in multiprocessing.get_all_start_methods()
-    workers = min(len(scenarios), len(usable_cpus()))
+    workers = min(len(scenarios), len(os.sched_getaffinity(0))
+                  if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(
             "fork" if fork else None)) as pool:
         outcomes = list(pool.map(partial(_run_member, Path(args.out),

@@ -36,11 +36,8 @@ from __future__ import annotations
 
 import linecache
 import math
-import os
 import re
-import shutil
 import struct
-import tempfile
 import time
 from array import array
 from dataclasses import dataclass, field, fields
@@ -80,15 +77,9 @@ _pack_row = struct.Struct(f"{len(COLUMNS)}d").pack
 #: rows per chunk of `write_csv`, each formatted by one `%` from a copy of
 #: its live cells. Writing the streaming test's 3 001-row record (bound
 #: 0.25 * rows.nbytes = 211 KiB) peaks under `tracemalloc` (Python 3.11,
-#: numpy 2.4) at 94, 181 and 356 KiB with chunks of 64, 128 and 256 rows,
-#: and at 145, 184 and 354 KiB with 3 slices: 64 keeps a wide margin
+#: numpy 2.4) at 94, 181 and 356 KiB with chunks of 64, 128 and 256 rows:
+#: 64 keeps a wide margin
 CHUNK_ROWS = 64
-#: `write_csv` gives a helper process a slice of at least this many rows.
-#: On a 2-core VM a fork of a 50 MB process takes about 2 ms and the copy
-#: of a 10 000-row slice (3.9 MB) about 1.5 ms, against some 80 ms to
-#: format it; a record of fewer than 2 * SPLIT_ROWS rows, such as every
-#: preset's at its own decimation, stays in one process
-SPLIT_ROWS = 10_000
 
 
 class FaultEvent(NamedTuple):
@@ -223,72 +214,12 @@ class SimResult:
 
     def write_csv(self, path):
         """Every cell as `%.12g`, one line per row, then the divergence
-        marker if the run diverged. A record of n rows is cut into
-        P = min(len(usable_cpus()), n // SPLIT_ROWS) contiguous slices,
-        one where `os.fork` is missing. Before this process writes a byte
-        it forks a helper for each slice after the first, which writes
-        its slice into an anonymous file next to the CSV; this process
-        writes the header and the first slice, then appends each helper's
-        bytes in order. A helper that fails raises OSError here, and none
-        outlives the call. A helper only formats and writes its own file,
-        so it takes no lock that another thread may hold at the fork.
-        During a split write each process keeps to a CPU of its own: left
-        alone, the kernel of a 2-vCPU VM kept a helper on its parent's CPU
-        for whole writes while the other CPU idled."""
-        rows = np.ascontiguousarray(self.rows, dtype=float)
-        n = len(rows)
-        cpus = usable_cpus()
-        parts = max(1, min(len(cpus), n // SPLIT_ROWS)) if hasattr(os, "fork") else 1
-        edges = [n * i // parts for i in range(parts + 1)]
-        folder = os.path.dirname(os.path.abspath(path))
-        spills, pids = [], []  # per slice after the first; a pid leaves once reaped
-        try:
-            with open(path, "w", newline="") as fh:
-                for cpu, a, b in zip(cpus[1:], edges[1:-1], edges[2:]):
-                    spills.append(tempfile.TemporaryFile(dir=folder))
-                    pid = os.fork()
-                    if pid == 0:
-                        _write_spill(spills[-1], rows[a:b], cpu)
-                    pids.append(pid)
-                if spills:
-                    _pin(cpus[:1])
-                fh.write(",".join(self.columns) + "\n")
-                _write_rows(fh, rows[:edges[1]])
-                for a, b, spill in zip(edges[1:-1], edges[2:], spills):
-                    code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
-                    if code:
-                        raise OSError(f"the helper writing rows {a}..{b - 1} of "
-                                      f"{path} exited with status {code}")
-                    fh.flush()
-                    spill.seek(0)
-                    shutil.copyfileobj(spill, fh.buffer)
-                if self.diverged:
-                    fh.write(f"# aborted: state divergence at t={self.diverged_time:.6g}\n")
-        finally:
-            if spills:
-                _pin(cpus)
-            for pid in pids:
-                os.waitpid(pid, 0)
-            for spill in spills:
-                spill.close()
-
-
-def usable_cpus() -> list:
-    """The CPUs this process may run on, in order: its affinity set where
-    the platform has one, else all of the machine's."""
-    if hasattr(os, "sched_getaffinity"):
-        return sorted(os.sched_getaffinity(0))
-    return list(range(os.cpu_count() or 1))
-
-
-def _pin(cpus):
-    """Keep this process to `cpus` where the platform can; where it
-    cannot, the process runs on as before."""
-    if hasattr(os, "sched_setaffinity"):
-        try:
-            os.sched_setaffinity(0, cpus)
-        except OSError:  # no CPU of `cpus` is online: stay where it runs
-            pass
+        marker if the run diverged."""
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(self.columns) + "\n")
+            _write_rows(fh, np.ascontiguousarray(self.rows, dtype=float))
+            if self.diverged:
+                fh.write(f"# aborted: state divergence at t={self.diverged_time:.6g}\n")
 
 
 def _write_rows(fh, rows):
@@ -304,21 +235,6 @@ def _write_rows(fh, rows):
         line = ",".join("%.12g" if on else "%.12g" % x
                         for x, on in zip(chunk[0].tolist(), live.tolist())) + "\n"
         fh.write(line * len(chunk) % tuple(chunk[:, live].ravel().tolist()))
-
-
-def _write_spill(spill, rows, cpu):
-    """A forked helper's whole life: on CPU `cpu`, write `rows` into the
-    file `spill` and exit, with status 0 only once every byte is flushed.
-    It never returns, so no exception reaches the caller's stack in this
-    process."""
-    code = 1
-    try:
-        _pin([cpu])
-        with open(spill.fileno(), "w", newline="", closefd=False) as fh:
-            _write_rows(fh, rows)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 #: The scalar hot path. `bind(a.., kw..)` returns `control(s, ref,

@@ -5,7 +5,6 @@ import io
 import json
 import math
 import multiprocessing
-import os
 import subprocess
 import sys
 import tempfile
@@ -15,7 +14,7 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
-from rovftc import scenario, simulation
+from rovftc import scenario
 from rovftc.cli import main
 from rovftc.fdi import FdiConfig
 from rovftc.scenario import (ScenarioError, apply_overrides, list_presets,
@@ -361,23 +360,13 @@ class TestCli:
         assert main(["batch", str(path), "--out", out]) == 4
         assert "i/o failure" in capsys.readouterr().out
 
-    def test_run_helper_failure_exits_4(self, tmp_path, capsys, monkeypatch):
-        # 51 rows in two slices; the forked helper writing the second fails
-        write_rows, parent = simulation._write_rows, os.getpid()
-
-        def failing_in_helpers(fh, rows):
-            if os.getpid() != parent:
-                raise RuntimeError("helper fails")
-            write_rows(fh, rows)
-
-        monkeypatch.setattr(simulation, "_write_rows", failing_in_helpers)
-        monkeypatch.setattr(simulation, "SPLIT_ROWS", 10)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+    def test_run_csv_that_cannot_be_opened_exits_4(self, tmp_path, capsys):
         path = self.short_scenario(tmp_path)
-        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
+        out = tmp_path / "out"
+        (out / "short.csv").mkdir(parents=True)
+        assert main(["run", str(path), "--out", str(out)]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("i/o error: the helper writing rows 25..50")
+        assert err.startswith("i/o error:")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("override", [

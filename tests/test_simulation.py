@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import math
-import os
 import re
 import tracemalloc
 
@@ -585,15 +584,11 @@ class TestRun:
         assert res.rows.dtype == np.float64
         assert peak < 2 * res.rows.nbytes
 
-    def test_write_csv_streams_the_record(self, tmp_path, slices, monkeypatch):
+    def test_write_csv_streams_the_record(self, tmp_path):
         res = Simulation(make_scenario(sim={"duration": 30.0,
                                             "decimation": 1})).run()
-        for parts in (1, 3):  # this process's peak, with and without helpers
-            forked = slices(parts)
-            monkeypatch.setattr(simulation, "SPLIT_ROWS", 1000)
-            _, peak = traced_peak(res.write_csv, tmp_path / "record.csv")
-            assert len(forked) == parts - 1
-            assert peak < 0.25 * res.rows.nbytes
+        _, peak = traced_peak(res.write_csv, tmp_path / "record.csv")
+        assert peak < 0.25 * res.rows.nbytes
 
     @pytest.mark.parametrize("make_cfg", [crossing_cfg, two_fault_cfg,
                                           between_steps_cfg, start_up_cfg])
@@ -725,8 +720,8 @@ def csv_record(case):
         rows[:, fault_num] = 0.0
         rows[-1, fault_num] = 1.0
     elif case == "slice_edge":
-        # steady columns that change exactly where 2, 3 or 4 slices meet
-        # (rows 160, 213, 320, 426 and 480), one between 0.0 and -0.0
+        # steady columns that change inside a chunk (rows 160, 213, 426
+        # and 480) and at a chunk's first row (320), one between 0.0 and -0.0
         rows[:, b_trig] = 0.0
         rows[160:, b_trig] = -0.0
         rows[320:, b_trig] = 0.0
@@ -749,61 +744,10 @@ def csv_record(case):
     return SimResult("csv", rows, {}, 6.4 if case == "diverged" else None)
 
 
-@pytest.fixture
-def slices(monkeypatch):
-    """`slices(p)` makes `write_csv` cut a record of n rows into
-    min(p, n) slices, as if on p CPUs that no process is pinned to; it
-    returns the list of the helper pids it forks."""
-    forked = []
-    fork = os.fork
-
-    def spied_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    def set_slices(parts):
-        monkeypatch.setattr(simulation, "SPLIT_ROWS", 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
-        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
-        monkeypatch.setattr(os, "fork", spied_fork)
-        forked.clear()
-        return forked
-
-    return set_slices
-
-
 @pytest.mark.parametrize("case", ["one_row", "all_constant", "signed_zero",
                                   "nan_inf", "last_row", "diverged",
                                   "slice_edge", "chunk_edge"])
-def test_write_csv_matches_plain_writer(case, tmp_path, slices, monkeypatch):
+def test_write_csv_matches_plain_writer(case, tmp_path):
     res = csv_record(case)
-    for parts in (1, 2, 3, 4, None):  # None: no os.fork, so one process
-        forked = slices(parts or 4)
-        if parts is None:
-            monkeypatch.delattr(os, "fork")
-        res.write_csv(tmp_path / "record.csv")
-        assert (tmp_path / "record.csv").read_bytes() == plain_csv(res)
-        assert len(forked) == min(parts or 1, len(res.rows)) - 1
-
-
-def test_write_csv_helper_failure_raises_and_reaps(tmp_path, slices,
-                                                   monkeypatch):
-    write_rows, parent = simulation._write_rows, os.getpid()
-
-    def failing_in_helpers(fh, rows):
-        if os.getpid() != parent:
-            raise RuntimeError("helper fails")
-        write_rows(fh, rows)
-
-    monkeypatch.setattr(simulation, "_write_rows", failing_in_helpers)
-    forked, pins = slices(3), []
-    monkeypatch.setattr(os, "sched_setaffinity",
-                        lambda pid, cpus: pins.append(sorted(cpus)))
-    with pytest.raises(OSError, match="exited with status 1"):
-        csv_record("diverged").write_csv(tmp_path / "record.csv")
-    assert len(forked) == 2
-    assert pins == [[0], [0, 1, 2]]  # this process's CPUs are given back
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)  # every helper was reaped
+    res.write_csv(tmp_path / "record.csv")
+    assert (tmp_path / "record.csv").read_bytes() == plain_csv(res)
