@@ -162,18 +162,25 @@ class FdiEngine:
         self.residual = self.threshold = 0.0
         self.consec_above = 0
         self.trigger_log, self.identified_log = [], []
-        self._hold_left = -1  # hold-window steps after this one; < 0: closed
-        # the threshold outside and inside a hold window, by `_hold_left >= 0`
-        self._thresholds = (detection_threshold(cfg), detection_threshold(cfg, True))
+        self.hold_left = -1  # hold-window steps after this one; < 0: closed
+        # the threshold outside and inside a hold window, by `hold_left >= 0`
+        self.thresholds = (detection_threshold(cfg), detection_threshold(cfg, True))
+
+    @property
+    def idle(self) -> bool:
+        """Armed, with no trigger and no count above the threshold. In this
+        state a step at no joint whose residual stays at or below the
+        threshold changes only `hold_left`, `residual` and `threshold`."""
+        return self.armed and not self.b_trig and not self.consec_above
 
     def update(self, k: int, e_eta, e_eta_dot, u_cmd, psi: float) -> int | None:
         """Advance to step k. Returns the thruster index (1-based) whose
         weight estimate is due for a decrement, else None. The caller owns
         the estimates and applies `reconfigure_step`."""
         cfg = self.cfg
-        self._hold_left = self.hold if k in self.joints else self._hold_left - 1
+        self.hold_left = self.hold if k in self.joints else self.hold_left - 1
         self.residual = residual(e_eta, cfg.c1)
-        self.threshold = self._thresholds[self._hold_left >= 0]
+        self.threshold = self.thresholds[self.hold_left >= 0]
         above = self.residual > self.threshold  # at the threshold stays quiet
 
         if not self.armed:

@@ -3,33 +3,37 @@
 Step k starts at k * dt. `Scenario` turns every schedule into steps at
 load: a fault event or segment joint acts at the first step that starts
 at or after it (`step_index`); the update period and the joint hold
-window are whole numbers of steps. One function, `Simulation._cycle`,
-runs a step from top to bottom for both `step()` and `run()`: apply the
-fault events due at the step, take the controller/allocation snapshot at
-the step start, hand it with k to the detection/identification/
-reconfiguration loop (`FdiEngine`, which holds the joint steps and logs
-steps, not times), update the running summary and build the row, then,
-unless the step ends the run, integrate the vehicle over it with classic
-fourth-order Runge-Kutta. The step that leaves the divergence limits is
-the last. The feedback law is evaluated inside every integration stage,
-so on smooth segments the global error scales with dt^4.
+window are whole numbers of steps. One generated function, the kernel's
+`loop`, steps the run for both `step()` and `run()`. Each step, top to
+bottom: apply the fault events due at the step, take the
+controller/allocation snapshot at the step start, run the
+detection/identification/reconfiguration loop (`FdiEngine`, which holds
+the joint steps and logs steps, not times) and any reconfiguration,
+update the running summary and pack the row, then, unless the step ends
+the run, integrate the vehicle over it with classic fourth-order
+Runge-Kutta. The step that leaves the divergence limits is the last. The
+feedback law is evaluated inside every integration stage, so on smooth
+segments the global error scales with dt^4.
 
 The inner loop is written with unrolled scalar arithmetic; the matrix
 form of every formula lives in `vehicle`, `controller` and `allocation`,
 and the test suite checks the two paths against each other. That scalar
-path is one function, `_KERNEL`, compiled once per scenario: every
-run-constant table entry (inertia, damping, B, their inverses, the gain
-ratios, the thruster columns, u_max) is written into it as a float
-literal, and a term whose constant is exactly 0.0 is left out of its sum.
-The allocation rows and thrust gains change with the weights, so they
-are bound, not compiled: each fault event or reconfiguration calls the
-compiled `bind` again. The kernel computes the control snapshot and the
-state derivative in one pass. Each step evaluates it 4 times: the
-step-start snapshot, which is exactly RK4 stage k1 (same time, state
-and tables) and is reused as such, plus stages k2, k3 and k4, which ask
-only for the six derivatives. The reference is sampled once per distinct
-time, t + dt/2 (shared by k2 and k3) and t + dt; the sample at t + dt
-serves the next step's snapshot too when that starts at the same float.
+arithmetic is one template, `_STAGE`, which `_kernel` compiles once per
+scenario into `control`, one evaluation that the tests check, and four
+times into `loop`: the step-start snapshot, which is exactly RK4 stage k1
+(same time, state and tables), then stages k2, k3 and k4. Every
+run-constant (inertia, damping, B, their inverses, the gain ratios, the
+thruster columns, u_max, dt and its fractions, the residual weight c1,
+the divergence limit) is written into it as a float literal, and a term
+whose constant is exactly 0.0 is left out of its sum. The allocation
+rows and thrust gains change with the weights, so they are locals of
+the loop: a fault event or a weight decrement calls back into
+`Simulation`, which applies it and hands the loop its new tables. The
+loop calls `FdiEngine.update` only on steps where the engine may do more
+than count its hold window down. The reference is sampled once per
+distinct time, t + dt/2 (shared by k2 and k3) and t + dt; the sample at
+t + dt serves the next step's snapshot too when that starts at the same
+float.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import struct
 import time
 from array import array
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -125,8 +130,9 @@ class Scenario:
     hold_steps: int = field(init=False)     # fdi.joint_hold
     event_steps: tuple = field(init=False)  # where each fault event acts
     joint_steps: tuple = field(init=False)  # where each segment joint acts
-    # `_KERNEL`'s `bind`, compiled at load for the tables above, so that
-    # every Simulation of the scenario shares it and no run pays for it
+    # `_KERNEL`'s `control` and `loop`, compiled at load for the tables
+    # above, so that every Simulation of the scenario shares them and no run
+    # pays for it
     kernel: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -187,8 +193,7 @@ class Scenario:
                                  f"steps of dt = {dt} s")
         if self.initial_state.shape != (6,):
             raise ValueError("initial_state must have 6 entries")
-        self.kernel = _kernel(self.params, self.gains, self.geometry,
-                              self.bank.u_max)
+        self.kernel = _kernel(self)
 
     def __reduce__(self):
         # the kernel is compiled code: a copy is built, checked and
@@ -237,90 +242,249 @@ def _write_rows(fh, rows):
         fh.write(line * len(chunk) % tuple(chunk[:, live].ravel().tolist()))
 
 
-#: The scalar hot path. `bind(a.., kw..)` returns `control(s, ref,
-#: full=True)`, which runs controller, allocation, thrust and plant for
-#: state `s` against the flat reference `ref` (a `TrajectoryPlan.sample_flat`
-#: tuple). The `a` rows map the wrench to commands and `kw` = K * w_true
-#: turns commands into thrust; both change with the weights. With
-#: `full=False` (RK4 stages k2-k4) `control` returns the state derivative
-#: (d0..d5) alone; otherwise the snapshot
+#: One evaluation of controller, allocation, thrust and plant: the state
+#: (X, Y, psi, u, v, r) and the flat reference (xd .. ayd, a
+#: `TrajectoryPlan.sample_flat` tuple) in, the state derivative (xdot,
+#: ydot, r, d3, d4, d5) out, with the errors, commands and wrenches of the
+#: snapshot on the way. The `a` rows map the wrench to commands and
+#: kw = K * w_true turns commands into thrust; both change with the
+#: weights, so they are locals, not literals. `_kernel` renders it once
+#: into `control` and four times into `loop`, as RK4 stages k1..k4; in
+#: stages k2..k4 the state and derivative names get the stage's suffix
+#: (`X_2`, `d3_2`, ...), and every other name is reused.
+_STAGE = """\
+cp, sp = cos(psi), sin(psi)
+ex = xd - X
+ey = yd - Y
+ep = fmod(psid - psi + {pi}, {two_pi})  # wrap_angle(psid - psi)
+if ep <= 0.0:
+    ep += {two_pi}
+ep -= {pi}
+wx = {vxd + k10 * ex}
+wy = {vyd + k11 * ey}
+wp = {rd + k12 * ep}
+al1 = cp * wx + sp * wy
+al2 = -sp * wx + cp * wy
+en1 = al1 - u
+en2 = al2 - v
+en3 = wp - r
+xdot = cp * u - sp * v  # eta-dot, shared by e_dot and the plant
+ydot = sp * u + cp * v
+edx = vxd - xdot
+edy = vyd - ydot
+edr = rd - r
+hx = {axd + k10 * edx}
+hy = {ayd + k11 * edy}
+ad1 = cp * hx + sp * hy + r * al2
+ad2 = -sp * hx + cp * hy - r * al1
+ad3 = {k12 * edr}
+c13 = -({m10 * u + m11 * v + m12 * r})
+c23 = {m00 * u + m01 * v + m02 * r}
+t1 = c13 * r + ({l00 * u + l01 * v + l02 * r + q0 * abs(u) * u})
+t2 = c23 * r + ({l10 * u + l11 * v + l12 * r + q1 * abs(v) * v})
+t3 = (-c13 * u - c23 * v) + ({l20 * u + l21 * v + l22 * r + q2 * abs(r) * r})
+fv1 = -({i00 * t1 + i01 * t2 + i02 * t3})
+fv2 = -({i10 * t1 + i11 * t2 + i12 * t3})
+fv3 = -({i20 * t1 + i21 * t2 + i22 * t3})
+in1 = {ad1 - fv1 + k20 * en1 + kc0 * (cp * ex - sp * ey)}
+in2 = {ad2 - fv2 + k21 * en2 + kc1 * (sp * ex + cp * ey)}
+in3 = {ad3 - fv3 + k22 * en3 + kc2 * ep}
+tc1 = {n00 * in1 + n01 * in2 + n02 * in3}
+tc2 = {n10 * in1 + n11 * in2 + n12 * in3}
+tc3 = {n20 * in1 + n21 * in2 + n22 * in3}
+ur1 = a00 * tc1 + a01 * tc2 + a02 * tc3
+ur2 = a10 * tc1 + a11 * tc2 + a12 * tc3
+ur3 = a20 * tc1 + a21 * tc2 + a22 * tc3
+ur4 = a30 * tc1 + a31 * tc2 + a32 * tc3
+u1 = {um} if ur1 > {um} else (-{um} if ur1 < -{um} else ur1)
+u2 = {um} if ur2 > {um} else (-{um} if ur2 < -{um} else ur2)
+u3 = {um} if ur3 > {um} else (-{um} if ur3 < -{um} else ur3)
+u4 = {um} if ur4 > {um} else (-{um} if ur4 < -{um} else ur4)
+f1 = kw1 * u1
+f2 = kw2 * u2
+f3 = kw3 * u3
+f4 = kw4 * u4
+tu = {g00 * f1 + g01 * f2 + g02 * f3 + g03 * f4}
+tv = {g10 * f1 + g11 * f2 + g12 * f3 + g13 * f4}
+tr = {g20 * f1 + g21 * f2 + g22 * f3 + g23 * f4}
+d3 = {fv1 + b00 * tu + b01 * tv + b02 * tr}
+d4 = {fv2 + b10 * tu + b11 * tv + b12 * tr}
+d5 = {fv3 + b20 * tu + b21 * tv + b22 * tr}
+"""
+
+#: The names `_STAGE` reads as its state and writes as its derivative
+_STAGE_STATE = re.compile(r"\b(X|Y|psi|u|v|r|xdot|ydot|d3|d4|d5)\b")
+
+#: The locals the loop binds to the current weights and fault window
+_TABLES = ("a00, a01, a02, a10, a11, a12, a20, a21, a22, a30, a31, a32, "
+           "kw1, kw2, kw3, kw4, wt1, wt2, wt3, wt4, wh1, wh2, wh3, wh4, win, k_ev")
+
+#: The scalar hot path. `control(s, ref, tab, full=True)` is one stage for
+#: the state tuple `s`, the flat reference `ref` and `tab`, the 16 `a` and
+#: `kw` entries (`Simulation._tab`). With `full=False` it returns the
+#: state derivative alone; otherwise the snapshot
 #:   (d0..d5, ex, ey, ep, edx, edy, edr, en1, en2, en3,
 #:    u1..u4, tc1, tc2, tc3, tu, tv, tr, sat)
-#: whose first six entries are that same derivative. `_kernel` writes each
-#: `{...}` as Python source by `_literal_sum`: a table entry such as `m01`
+#: whose first six entries are that same derivative.
+#:
+#: `loop(sim, k, k_stop, rows, every)` runs steps k .. k_stop - 1 of `sim`,
+#: or up to the step that diverges, and packs the row of each step k with
+#: k % every == 0 onto the float64 array `rows`. Each step, top to
+#: bottom: the fault events due at k (`sim._apply_events`); the reference
+#: at t = k * dt, unless the last step's t + dt sample is for the same
+#: float; stage k1, the step-start snapshot; the FDI update; the
+#: saturation count, the running summary and the row; then, unless k is
+#: the run's last step (`n_steps`), stages k2-k4 (the reference sampled at
+#: t + dt/2 and t + dt), the RK4 combination, the divergence check and the
+#: yaw wrap. The loop keeps the run's state and running values in locals
+#: and writes them back to `sim` and its engine when it returns.
+#:
+#: FDI: when the engine is idle (`FdiEngine.idle`), no joint acts at k and
+#: the residual stays at or below the threshold, `update` would only count
+#: the hold window down and store the residual and the threshold, so the
+#: loop does that itself. Every other step calls `update`. Fault events
+#: call `sim._apply_events` and a due decrement `sim._reconfigure`; each
+#: returns the loop's new `TABLES`. After a decrement stage k1 runs again
+#: with them: the commands the plant will now receive.
+#:
+#: `_kernel` calls `loop` 8 times with k == k_stop when it compiles it:
+#: CPython 3.11 specializes a function's bytecode to its operand types
+#: from the 8th call on, and a run calls `loop` once.
+#:
+#: `_kernel` writes each `{...}` as Python source by `_literal_sum`: a
+#: table entry such as `m01`, or a run constant such as `dt` or `c1`,
 #: becomes its float literal, a `name * operand` term whose constant is
-#: exactly 0.0 is left out of its sum, and a factor of exactly 1.0 is
-#: left out of its product.
+#: exactly 0.0 is left out of its sum, and a factor of exactly 1.0 is left
+#: out of its product. Each `@stage` line becomes `_STAGE` at its
+#: indentation, and `TABLES` becomes `_TABLES`.
 _KERNEL = """\
-def bind(a00, a01, a02, a10, a11, a12, a20, a21, a22, a30, a31, a32,
-         kw1, kw2, kw3, kw4):
-    def control(s, ref, full=True):
-        X, Y, psi, u, v, r = s
-        cp, sp = cos(psi), sin(psi)
-        xd, yd, psid, vxd, vyd, rd, axd, ayd = ref
-        ex = xd - X
-        ey = yd - Y
-        ep = fmod(psid - psi + {pi}, {two_pi})  # wrap_angle(psid - psi)
-        if ep <= 0.0:
-            ep += {two_pi}
-        ep -= {pi}
-        wx = {vxd + k10 * ex}
-        wy = {vyd + k11 * ey}
-        wp = {rd + k12 * ep}
-        al1 = cp * wx + sp * wy
-        al2 = -sp * wx + cp * wy
-        en1 = al1 - u
-        en2 = al2 - v
-        en3 = wp - r
-        xdot = cp * u - sp * v  # eta-dot, shared by e_dot and the plant
-        ydot = sp * u + cp * v
-        edx = vxd - xdot
-        edy = vyd - ydot
-        edr = rd - r
-        hx = {axd + k10 * edx}
-        hy = {ayd + k11 * edy}
-        ad1 = cp * hx + sp * hy + r * al2
-        ad2 = -sp * hx + cp * hy - r * al1
-        ad3 = {k12 * edr}
-        c13 = -({m10 * u + m11 * v + m12 * r})
-        c23 = {m00 * u + m01 * v + m02 * r}
-        t1 = c13 * r + ({l00 * u + l01 * v + l02 * r + q0 * abs(u) * u})
-        t2 = c23 * r + ({l10 * u + l11 * v + l12 * r + q1 * abs(v) * v})
-        t3 = (-c13 * u - c23 * v) + ({l20 * u + l21 * v + l22 * r + q2 * abs(r) * r})
-        fv1 = -({i00 * t1 + i01 * t2 + i02 * t3})
-        fv2 = -({i10 * t1 + i11 * t2 + i12 * t3})
-        fv3 = -({i20 * t1 + i21 * t2 + i22 * t3})
-        in1 = {ad1 - fv1 + k20 * en1 + kc0 * (cp * ex - sp * ey)}
-        in2 = {ad2 - fv2 + k21 * en2 + kc1 * (sp * ex + cp * ey)}
-        in3 = {ad3 - fv3 + k22 * en3 + kc2 * ep}
-        tc1 = {n00 * in1 + n01 * in2 + n02 * in3}
-        tc2 = {n10 * in1 + n11 * in2 + n12 * in3}
-        tc3 = {n20 * in1 + n21 * in2 + n22 * in3}
-        ur1 = a00 * tc1 + a01 * tc2 + a02 * tc3
-        ur2 = a10 * tc1 + a11 * tc2 + a12 * tc3
-        ur3 = a20 * tc1 + a21 * tc2 + a22 * tc3
-        ur4 = a30 * tc1 + a31 * tc2 + a32 * tc3
-        u1 = {um} if ur1 > {um} else (-{um} if ur1 < -{um} else ur1)
-        u2 = {um} if ur2 > {um} else (-{um} if ur2 < -{um} else ur2)
-        u3 = {um} if ur3 > {um} else (-{um} if ur3 < -{um} else ur3)
-        u4 = {um} if ur4 > {um} else (-{um} if ur4 < -{um} else ur4)
-        f1 = kw1 * u1
-        f2 = kw2 * u2
-        f3 = kw3 * u3
-        f4 = kw4 * u4
-        tu = {g00 * f1 + g01 * f2 + g02 * f3 + g03 * f4}
-        tv = {g10 * f1 + g11 * f2 + g12 * f3 + g13 * f4}
-        tr = {g20 * f1 + g21 * f2 + g22 * f3 + g23 * f4}
-        d3 = {fv1 + b00 * tu + b01 * tv + b02 * tr}
-        d4 = {fv2 + b10 * tu + b11 * tv + b12 * tr}
-        d5 = {fv3 + b20 * tu + b21 * tv + b22 * tr}
-        if not full:
-            return (xdot, ydot, r, d3, d4, d5)
-        sat = (u1 != ur1) or (u2 != ur2) or (u3 != ur3) or (u4 != ur4)
-        return (xdot, ydot, r, d3, d4, d5, ex, ey, ep, edx, edy, edr,
-                en1, en2, en3, u1, u2, u3, u4, tc1, tc2, tc3, tu, tv, tr, sat)
+def control(s, ref, tab, full=True):
+    X, Y, psi, u, v, r = s
+    xd, yd, psid, vxd, vyd, rd, axd, ayd = ref
+    a00, a01, a02, a10, a11, a12, a20, a21, a22, a30, a31, a32, kw1, kw2, kw3, kw4 = tab
+    @stage
+    if not full:
+        return (xdot, ydot, r, d3, d4, d5)
+    sat = (u1 != ur1) or (u2 != ur2) or (u3 != ur3) or (u4 != ur4)
+    return (xdot, ydot, r, d3, d4, d5, ex, ey, ep, edx, edy, edr,
+            en1, en2, en3, u1, u2, u3, u4, tc1, tc2, tc3, tu, tv, tr, sat)
 
-    return control
+
+def loop(sim, k, k_stop, rows, every):
+    if k >= k_stop:
+        return
+    eng = sim.engine
+    sample, update, keep = sim.plan.sample_flat, eng.update, rows.frombytes
+    joints, last, win_above = eng.joints, sim.n_steps, sim._win_above
+    thr_out, thr_in = eng.thresholds
+    nsat, k_bad = sim.saturation_steps, sim._k_bad
+    max_res, max_res_armed = sim._max_res, sim._max_res_armed
+    hold_left, armed, idle = eng.hold_left, eng.armed, eng.idle
+    X, Y, psi, u, v, r = sim._s
+    TABLES = sim._loop_tables()
+    t_end = None
+    while k < k_stop:
+        if k >= k_ev:
+            TABLES = sim._apply_events(k)
+        t = k * {dt}
+        if t != t_end:
+            xd, yd, psid, vxd, vyd, rd, axd, ayd = sample(t)
+        due = None
+        while True:
+            @stage
+            if due is not None:
+                break  # the snapshot after a reconfiguration
+            res = sqrt(ex * ex + ey * ey + {c1} * ep * ep)
+            thr = thr_in if hold_left > 0 else thr_out
+            if idle and res <= thr and k not in joints:
+                hold_left -= 1
+                break
+            eng.hold_left = hold_left
+            due = update(k, (ex, ey, ep), (edx, edy, edr), (u1, u2, u3, u4), psi)
+            hold_left, thr = eng.hold_left, eng.threshold
+            armed, idle = eng.armed, eng.idle
+            if due is None:
+                break
+            TABLES = sim._reconfigure(due)
+        if u1 != ur1 or u2 != ur2 or u3 != ur3 or u4 != ur4:
+            nsat += 1
+        if sqrt(ex * ex + ey * ey + ep * ep) > 0.05:
+            k_bad = k
+        if res > max_res:
+            max_res = res
+        if armed and res > max_res_armed:
+            max_res_armed = res
+        if res > thr:
+            win_above[win] = k
+        if k % every == 0:
+            psid_w = fmod(psid + {pi}, {two_pi})  # wrap_angle(psid)
+            if psid_w <= 0.0:
+                psid_w += {two_pi}
+            try:  # float `**` raises where `*` would give inf
+                v2 = 0.5 * ({ga0} * ex ** 2 + {ga1} * ey ** 2 + {ga2} * ep ** 2
+                            + {gb0} * en1 ** 2 + {gb1} * en2 ** 2 + {gb2} * en3 ** 2)
+            except OverflowError:
+                v2 = inf
+            keep(pack(t, X, Y, psi, u, v, r, xd, yd, psid_w - {pi}, ex, ey, ep,
+                      res, thr, 1.0 if eng.b_trig else 0.0, float(eng.fault_num or 0),
+                      wt1, wt2, wt3, wt4, wh1, wh2, wh3, wh4, u1, u2, u3, u4,
+                      tc1, tc2, tc3, tu, tv, tr, v2))
+        k += 1
+        if k > last:
+            break  # the run's last step: nothing to integrate
+        mid = sample(t + {half_dt})
+        t_end = t + {dt}
+        end = sample(t_end)
+        xd, yd, psid, vxd, vyd, rd, axd, ayd = mid
+        try:
+            X_2 = X + {half_dt} * xdot
+            Y_2 = Y + {half_dt} * ydot
+            psi_2 = psi + {half_dt} * r
+            u_2 = u + {half_dt} * d3
+            v_2 = v + {half_dt} * d4
+            r_2 = r + {half_dt} * d5
+            @stage_2
+            X_3 = X + {half_dt} * xdot_2
+            Y_3 = Y + {half_dt} * ydot_2
+            psi_3 = psi + {half_dt} * r_2
+            u_3 = u + {half_dt} * d3_2
+            v_3 = v + {half_dt} * d4_2
+            r_3 = r + {half_dt} * d5_2
+            @stage_3
+            xd, yd, psid, vxd, vyd, rd, axd, ayd = end
+            X_4 = X + {dt} * xdot_3
+            Y_4 = Y + {dt} * ydot_3
+            psi_4 = psi + {dt} * r_3
+            u_4 = u + {dt} * d3_3
+            v_4 = v + {dt} * d4_3
+            r_4 = r + {dt} * d5_3
+            @stage_4
+            nX = X + {sixth_dt} * (xdot + 2.0 * (xdot_2 + xdot_3) + xdot_4)
+            nY = Y + {sixth_dt} * (ydot + 2.0 * (ydot_2 + ydot_3) + ydot_4)
+            npsi = psi + {sixth_dt} * (r + 2.0 * (r_2 + r_3) + r_4)
+            nu = u + {sixth_dt} * (d3 + 2.0 * (d3_2 + d3_3) + d3_4)
+            nv = v + {sixth_dt} * (d4 + 2.0 * (d4_2 + d4_3) + d4_4)
+            nr = r + {sixth_dt} * (d5 + 2.0 * (d5_2 + d5_3) + d5_4)
+        except ValueError:  # a stage yaw at +-inf: cos and fmod raise,
+            nX = nan        # which the check below takes for divergence
+        if not (-{lim} <= nX <= {lim} and -{lim} <= nY <= {lim}  # NaN fails
+                and -{lim} <= npsi <= {lim} and -{lim} <= nu <= {lim}
+                and -{lim} <= nv <= {lim} and -{lim} <= nr <= {lim}):
+            sim.diverged_time = k * {dt}
+            break
+        X = nX
+        Y = nY
+        u = nu
+        v = nv
+        r = nr
+        psi = fmod(npsi + {pi}, {two_pi})  # wrap_angle(npsi)
+        if psi <= 0.0:
+            psi += {two_pi}
+        psi -= {pi}
+    sim.k, sim._s = k, (X, Y, psi, u, v, r)
+    sim.saturation_steps, sim._k_bad = nsat, k_bad
+    sim._max_res, sim._max_res_armed = max_res, max_res_armed
+    eng.residual, eng.threshold, eng.hold_left = res, thr, hold_left
 """
 
 
@@ -340,28 +504,46 @@ def _literal_sum(expr: str, consts: dict) -> str:
     return " + ".join(terms) or "0.0"
 
 
-def _kernel(params: VehicleParams, gains: ControllerGains,
-            geom: ThrusterGeometry, u_max: float):
-    """`_KERNEL` compiled for one run's tables; returns its `bind`. The
-    source is registered with `linecache`, so tracebacks show its lines."""
-    consts = {"pi": math.pi, "two_pi": TWO_PI, "um": float(u_max)}
+def _stage(match) -> str:
+    """`_STAGE` for an `@stage` line: at its indentation, and with its
+    state and derivative names suffixed by the line's suffix, if any."""
+    indent, suffix = match.groups()
+    body = _STAGE_STATE.sub(r"\1" + suffix, _STAGE) if suffix else _STAGE
+    return "".join(indent + line for line in body.splitlines(True))
+
+
+def _kernel(sc: Scenario):
+    """`_KERNEL` compiled for one scenario's tables, step and residual
+    weight; returns its `control` and `loop`. The source is registered with
+    `linecache`, so tracebacks show its lines."""
+    params, gains = sc.params, sc.gains
+    consts = {"pi": math.pi, "two_pi": TWO_PI, "um": float(sc.bank.u_max),
+              "dt": sc.dt, "half_dt": sc.dt * 0.5, "sixth_dt": sc.dt / 6.0,
+              "c1": sc.fdi.c1, "lim": DIVERGENCE_LIMIT}
     for prefix, table in (("m", params.inertia), ("i", params.inertia_inv),
                           ("l", params.lin_damping), ("b", params.B),
                           ("n", params.B_inv), ("q", params.quad_damping),
                           ("k1", gains.a1 / gains.gamma1),
                           ("k2", gains.a2 / gains.gamma2),
                           ("kc", gains.gamma1 / gains.gamma2),
-                          ("g", geom.t_conf)):  # e.g. m01 = inertia[0, 1]
+                          ("ga", gains.gamma1), ("gb", gains.gamma2),
+                          ("g", sc.geometry.t_conf)):  # e.g. m01 = inertia[0, 1]
         for index, x in np.ndenumerate(table):
             consts[prefix + "".join(map(str, index))] = float(x)
-    source = re.sub(r"\{([^{}]*)\}",
-                    lambda m: _literal_sum(m.group(1), consts), _KERNEL)
+    source = re.sub(r"^( *)@stage(\w*)\n", _stage, _KERNEL, flags=re.M)
+    source = re.sub(r"\{([^{}]*)\}", lambda m: _literal_sum(m.group(1), consts),
+                    source.replace("TABLES", _TABLES))
     filename = f"<rovftc kernel {hash(source) & 0xFFFFFFFF:08x}>"
     linecache.cache[filename] = (len(source), None,
                                  source.splitlines(True), filename)
-    namespace = {"cos": math.cos, "sin": math.sin, "fmod": math.fmod}
+    namespace = {"cos": math.cos, "sin": math.sin, "fmod": math.fmod,
+                 "sqrt": math.sqrt, "inf": math.inf, "nan": math.nan,
+                 "pack": _pack_row}
     exec(compile(source, filename, "exec"), namespace)
-    return namespace["bind"]
+    loop = namespace["loop"]
+    for _ in range(8):  # see `_KERNEL`: specialized from the 8th call on
+        loop(None, 0, 0, None, 1)
+    return SimpleNamespace(control=namespace["control"], loop=loop)
 
 
 class Simulation:
@@ -384,12 +566,9 @@ class Simulation:
         self._event_idx = 0  # events applied; also the open fault window
         self._events = scenario.faults
         self._event_steps = (*scenario.event_steps, self.n_steps + 1)  # last: never due
-        self._g1 = tuple(scenario.gains.gamma1.tolist())
-        self._g2 = tuple(scenario.gains.gamma2.tolist())
         self._k_bad = -1  # running summary: last boundary with |e_eta| > 0.05
         self._max_res = self._max_res_armed = 0.0
         self._win_above = [None] * (len(self._events) + 1)  # last k above, per window
-        self._ref_end = (None, None)  # (t + dt, its sample) of the last RK4 step
         self._rebind()
 
     @property
@@ -397,128 +576,64 @@ class Simulation:
         """Current (x, y, psi, u, v, r) as a fresh array."""
         return np.array(self._s)
 
-    # -- per-step work ----------------------------------------------------
+    # -- the kernel's tables and callbacks ----------------------------------
 
     def _rebind(self):
-        """Bind the control kernel and the recorded weights to the true
+        """Set the kernel's tables and the recorded weights from the true
         weights and estimates, with allocation rows for the active set."""
         bank = self.bank
         active = ~bank.failed_mask()
         rows = (_distribution_matrix(self.scenario.geometry, active)
                 / np.where(active, bank.K * bank.w_hat, 1.0)[:, None])
-        self._control = self.scenario.kernel(*rows.ravel().tolist(),
-                                             *(bank.K * bank.w_true).tolist())
+        self._tab = tuple(rows.ravel().tolist() + (bank.K * bank.w_true).tolist())
         self._weights = tuple(bank.w_true.tolist() + bank.w_hat.tolist())
 
-    def _cycle(self, want_row: bool = True):
-        """Step k, top to bottom: the fault events due at it, the control
-        snapshot at t = k * dt, the FDI update and any reconfiguration,
-        the running summary and, if wanted, the row (returned, else None);
-        then, unless k ends the run, one RK4 step and the divergence check.
-        The final snapshot is RK4 stage k1, and the sample at t + dt
-        serves the next step too when it starts at that float."""
-        k, dt = self.k, self.dt
-        t = k * dt
+    def _control(self, s, ref, full=True):
+        """The kernel's `control` for state `s` and flat reference `ref`
+        with the current tables."""
+        return self.scenario.kernel.control(s, ref, self._tab, full)
+
+    def _loop_tables(self) -> tuple:
+        """The kernel loop's `_TABLES`: the current tables, the recorded
+        weights, the open fault window and the step of the next event."""
+        return (*self._tab, *self._weights, self._event_idx,
+                self._event_steps[self._event_idx])
+
+    def _apply_events(self, k) -> tuple:
+        """Apply the fault events due at step k; the loop's new tables."""
         while self._event_steps[self._event_idx] <= k:
             ev = self._events[self._event_idx]
             self.bank.w_true[ev.thruster - 1] = ev.weight
             self._rebind()
             self._event_idx += 1
+        return self._loop_tables()
 
-        s = self._s
-        t_end, ref = self._ref_end
-        if t_end != t:
-            ref = self.plan.sample_flat(t)
-        c = self._control(s, ref)
-        eng = self.engine
-        due = eng.update(k, c[6:9], c[9:12], c[15:19], s[2])
-        if due is not None:
-            self.bank.w_hat = reconfigure_step(self.bank.w_hat, due, eng.cfg,
-                                               self.bank.w_min)
-            self._rebind()
-            c = self._control(s, ref)  # commands the plant will now receive
-        if c[25]:
-            self.saturation_steps += 1
+    def _reconfigure(self, thruster) -> tuple:
+        """Step the weight estimate of `thruster` down, as the FDI engine
+        asked; the loop's new tables."""
+        self.bank.w_hat = reconfigure_step(self.bank.w_hat, thruster,
+                                           self.engine.cfg, self.bank.w_min)
+        self._rebind()
+        return self._loop_tables()
 
-        res = eng.residual
-        if math.sqrt(c[6] * c[6] + c[7] * c[7] + c[8] * c[8]) > 0.05:
-            self._k_bad = k
-        if res > self._max_res:
-            self._max_res = res
-        if eng.armed and res > self._max_res_armed:
-            self._max_res_armed = res
-        if res > eng.threshold:
-            self._win_above[self._event_idx] = k
-        row = None
-        if want_row:
-            g1, g2 = self._g1, self._g2
-            try:  # float `**` raises where `*` would give inf
-                v2 = 0.5 * (g1[0] * c[6] ** 2 + g1[1] * c[7] ** 2 + g1[2] * c[8] ** 2
-                            + g2[0] * c[12] ** 2 + g2[1] * c[13] ** 2 + g2[2] * c[14] ** 2)
-            except OverflowError:
-                v2 = math.inf
-            row = (t, *s, ref[0], ref[1], wrap_angle(ref[2]),
-                   c[6], c[7], c[8],
-                   res, eng.threshold,
-                   1.0 if eng.b_trig else 0.0,
-                   float(eng.fault_num or 0),
-                   *self._weights,
-                   *c[15:25],  # u1..u4, tau_c, tau
-                   v2)
-
-        if k < self.n_steps:
-            h = dt * 0.5
-            control = self._control
-            a0, a1, a2, a3, a4, a5 = s
-            sample = self.plan.sample_flat
-            t_end = t + dt
-            ref, ref_end = sample(t + h), sample(t_end)
-            self._ref_end = (t_end, ref_end)
-            try:
-                k2 = control((a0 + h * c[0], a1 + h * c[1], a2 + h * c[2],
-                              a3 + h * c[3], a4 + h * c[4], a5 + h * c[5]),
-                             ref, False)
-                k3 = control((a0 + h * k2[0], a1 + h * k2[1], a2 + h * k2[2],
-                              a3 + h * k2[3], a4 + h * k2[4], a5 + h * k2[5]),
-                             ref, False)
-                k4 = control((a0 + dt * k3[0], a1 + dt * k3[1], a2 + dt * k3[2],
-                              a3 + dt * k3[3], a4 + dt * k3[4], a5 + dt * k3[5]),
-                             ref_end, False)
-            except ValueError:  # a stage yaw at +-inf: cos and fmod raise
-                s = (math.nan,)   # which the check below takes for divergence
-            else:
-                sx = dt / 6.0
-                s = (a0 + sx * (c[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
-                     a1 + sx * (c[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
-                     a2 + sx * (c[2] + 2.0 * (k2[2] + k3[2]) + k4[2]),
-                     a3 + sx * (c[3] + 2.0 * (k2[3] + k3[3]) + k4[3]),
-                     a4 + sx * (c[4] + 2.0 * (k2[4] + k3[4]) + k4[4]),
-                     a5 + sx * (c[5] + 2.0 * (k2[5] + k3[5]) + k4[5]))
-            for x in s:
-                if not (-DIVERGENCE_LIMIT <= x <= DIVERGENCE_LIMIT):  # catches NaN
-                    self.diverged_time = (k + 1) * dt
-                    break
-            else:
-                self._s = (s[0], s[1], wrap_angle(s[2]), s[3], s[4], s[5])
-        self.k = k + 1
-        return row
+    # -- stepping ---------------------------------------------------------
 
     def step(self) -> tuple:
         """One full control cycle; returns the record row at the step
         start. Raises past the end of the run or after divergence."""
         if self.k >= self.n_steps or self.diverged_time is not None:
             raise RuntimeError("no step left: the run has ended or diverged")
-        return self._cycle()
+        row = array("d")
+        self.scenario.kernel.loop(self, self.k, self.k + 1, row, 1)
+        return tuple(row)
 
     def run(self) -> SimResult:
-        """Cycle through the end of the run, keeping every `decimation`-th row."""
+        """Step through the end of the run, keeping every `decimation`-th row."""
         sc = self.scenario
         rows = array("d")  # the kept rows, flat; numpy views the buffer
         started = time.perf_counter()
-        while self.k <= self.n_steps and self.diverged_time is None:
-            row = self._cycle(self.k % sc.decimation == 0)
-            if row is not None:
-                rows.frombytes(_pack_row(*row))
+        if self.diverged_time is None:
+            sc.kernel.loop(self, self.k, self.n_steps + 1, rows, sc.decimation)
         summary = self._build_summary(time.perf_counter() - started)
         return SimResult(sc.name, np.frombuffer(rows).reshape(-1, len(COLUMNS)),
                          summary, self.diverged_time)

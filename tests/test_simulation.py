@@ -10,11 +10,12 @@ import pytest
 from rovftc import simulation
 from rovftc.allocation import achieved_wrench, allocate
 from rovftc.controller import control_law, error_rate, tracking_errors
-from rovftc.fdi import FdiConfig, detection_threshold
+from rovftc.fdi import FdiConfig, detection_threshold, reconfigure_step
 from rovftc.scenario import load_scenario, scenario_from_dict
 from rovftc.simulation import (COLUMNS, TIME_TOL, FaultEvent, SimResult,
                                Simulation)
-from rovftc.vehicle import VehicleState, dynamics_rhs, kinematics_rhs
+from rovftc.vehicle import (VehicleState, dynamics_rhs, kinematics_rhs,
+                            wrap_angle)
 
 HALF_PI = math.pi / 2
 
@@ -133,6 +134,60 @@ def oracle_summary(residual, threshold, enorm, b_trig, fault_num, dt,
             "detected_at": detected,
             "identified": identified,
             "identified_at": identified_at}
+
+
+def reference_run(sc):
+    """The run of `sc` stepped in plain Python: the kernel's `control` for
+    the step-start snapshot and, with full=False, for RK4 stages k2-k4;
+    classic RK4, with the reference sampled afresh at t, t + dt/2 and
+    t + dt; `FdiEngine.update` on every step; the tables bound again
+    after each fault event and each decrement. Returns every step's row,
+    the final state, the engine and the steps where `update` found the
+    engine idle, at no joint, and left the residual at or below the
+    threshold."""
+    sim = Simulation(sc)
+    control, engine, bank, plan, dt = (sim._control, sim.engine, sim.bank,
+                                       sim.plan, sim.dt)
+    g1, g2 = sc.gains.gamma1.tolist(), sc.gains.gamma2.tolist()
+    events = list(zip(sc.event_steps, sc.faults))
+    s, rows, idle_steps = sim._s, [], []
+    for k in range(sc.n_steps + 1):
+        t = k * dt
+        while events and events[0][0] <= k:
+            ev = events.pop(0)[1]
+            bank.w_true[ev.thruster - 1] = ev.weight
+            sim._rebind()
+        ref = plan.sample_flat(t)
+        c = control(s, ref)
+        idle = engine.idle and k not in engine.joints
+        due = engine.update(k, c[6:9], c[9:12], c[15:19], s[2])
+        if idle and engine.residual <= engine.threshold:
+            idle_steps.append(k)
+        if due is not None:
+            bank.w_hat = reconfigure_step(bank.w_hat, due, engine.cfg, bank.w_min)
+            sim._rebind()
+            c = control(s, ref)
+        try:
+            v2 = 0.5 * (g1[0] * c[6] ** 2 + g1[1] * c[7] ** 2 + g1[2] * c[8] ** 2
+                        + g2[0] * c[12] ** 2 + g2[1] * c[13] ** 2 + g2[2] * c[14] ** 2)
+        except OverflowError:
+            v2 = math.inf
+        rows.append((t, *s, ref[0], ref[1], wrap_angle(ref[2]), *c[6:9],
+                     engine.residual, engine.threshold, float(engine.b_trig),
+                     float(engine.fault_num or 0), *bank.w_true.tolist(),
+                     *bank.w_hat.tolist(), *c[15:25], v2))
+        if k == sc.n_steps:
+            break
+        h, mid, end = dt * 0.5, plan.sample_flat(t + dt * 0.5), plan.sample_flat(t + dt)
+        k1 = c[:6]
+        k2 = control(tuple(a + h * d for a, d in zip(s, k1)), mid, False)
+        k3 = control(tuple(a + h * d for a, d in zip(s, k2)), mid, False)
+        k4 = control(tuple(a + dt * d for a, d in zip(s, k3)), end, False)
+        s = tuple(a + dt / 6.0 * (d1 + 2.0 * (d2 + d3) + d4)
+                  for a, d1, d2, d3, d4 in zip(s, k1, k2, k3, k4))
+        assert max(map(abs, s)) <= simulation.DIVERGENCE_LIMIT
+        s = (s[0], s[1], wrap_angle(s[2]), *s[3:])
+    return rows, s, engine, idle_steps
 
 
 def traced_peak(fn, *args):
@@ -321,8 +376,8 @@ class TestStep:
 
     @pytest.mark.slow
     def test_kernel_compiled_once_per_run(self, monkeypatch):
-        # fig7_failure rebinds the kernel at each of its fault events and
-        # weight decrements; each rebind binds, none compiles
+        # fig7_failure rebuilds the kernel's tables at each of its fault
+        # events and weight decrements; none of them compiles
         compiled, rebinds = [], []
 
         def counted_compile(source, filename, mode):
@@ -348,50 +403,32 @@ class TestStep:
         assert frame.path.startswith("<rovftc kernel")
         assert str(frame.statement).strip() == "X, Y, psi, u, v, r = s"
 
-    def test_boundary_snapshot_is_rk4_k1(self):
-        sc = make_scenario(**crossing_cfg())
-        bind, calls = sc.kernel, []
+    @pytest.mark.parametrize("make_cfg", [crossing_cfg, two_fault_cfg,
+                                          between_steps_cfg, start_up_cfg])
+    def test_run_matches_reference_stepper(self, make_cfg):
+        rows, s, engine, idle_steps = reference_run(make_scenario(**make_cfg()))
+        sim = Simulation(make_scenario(**make_cfg()))
+        update, updated = sim.engine.update, []
 
-        def logged_bind(*tables):  # every kernel `_rebind` binds logs its calls
-            control = bind(*tables)
-
-            def logged(s, ref, full=True):
-                calls.append((s, ref, full, control))
-                return control(s, ref, full)
-            return logged
-
-        sc.kernel = logged_bind
-        sim = Simulation(sc)
-        update, dues = sim.engine.update, []
-
-        def spy(*args):
-            dues.append(update(*args))
-            return dues[-1]
+        def spy(k, *args):
+            updated.append(k)
+            return update(k, *args)
 
         sim.engine.update = spy
-        rows, h = [], sim.dt * 0.5
-        for k in range(sim.n_steps):
-            s, ref = sim._s, sim.plan.sample_flat(k * sim.dt)
-            del calls[:]
-            rows.append(sim.step())
-            reconfigured = dues[-1] is not None
-            # the step-start snapshot, and one more after a reconfiguration,
-            # then stages k2-k4 only: no call of its own for k1
-            assert [full for _, _, full, _ in calls] == [True] * (1 + reconfigured) + [False] * 3
-            assert all(call[:2] == (s, ref) for call in calls[:1 + reconfigured])
-            if reconfigured:  # the second snapshot is from the rebound kernel
-                assert calls[1][3] is not calls[0][3]
-            control = calls[reconfigured][3]
-            k1 = control(s, ref)[:6]
-            assert k1 == control(s, ref, False)
-            assert calls[-3][0] == tuple(a + h * d for a, d in zip(s, k1))
-        assert sum(due is not None for due in dues) >= 2
-        assert sim.scenario.joint_steps[0] < sim.n_steps
-        assert sim.bank.w_true[0] == 0.3
-        assert sim.bank.w_hat[0] < 1.0 - sim.engine.cfg.delta_w
-
-        res = Simulation(make_scenario(**crossing_cfg())).run()
-        assert np.array_equal(np.array(rows), res.rows[:-1])
+        res = sim.run()
+        del sim.engine.update
+        kept = np.array(rows[::sim.scenario.decimation])
+        assert kept.tobytes() == res.rows.tobytes()  # bit for bit, -0.0 too
+        assert sim._s == s
+        # the loop skips `update` on exactly the idle steps, and leaves the
+        # engine as `update` on every step does
+        assert sorted(set(range(sim.n_steps + 1)) - set(updated)) == idle_steps
+        assert idle_steps
+        assert {**vars(sim.engine), "geom": None} == {**vars(engine), "geom": None}
+        stepper = Simulation(make_scenario(**make_cfg()))
+        stepped = [stepper.step() for _ in range(stepper.n_steps)]
+        assert np.array(stepped).tobytes() == np.array(rows[:-1]).tobytes()
+        assert stepper._s == s
 
     def test_crossing_run_csv_bytes_pinned(self, tmp_path):
         res = Simulation(make_scenario(name="crossing", **crossing_cfg())).run()
@@ -407,9 +444,10 @@ class TestStep:
         res.write_csv(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == CROSSING_CSV_SHA256
 
-    def test_joint_flag_matches_plan(self):
-        sim = Simulation(make_scenario(
-            sim={"duration": 10.0},
+    def test_joint_hold_windows_on_threshold_column(self):
+        sc = make_scenario(
+            sim={"duration": 10.0, "decimation": 1},
+            fdi={"joint_hold": 1.0},
             trajectory={"initial_pose": [10.0, 5.0, HALF_PI],
                         "segments": [
                             {"mode": "straight", "duration": 2.3,
@@ -417,21 +455,14 @@ class TestStep:
                             {"mode": "turn", "duration": 2.9,
                              "speed": 1.0, "yaw_rate": 0.05},
                             {"mode": "straight", "duration": 20.0,
-                             "speed": 1.0, "heading": 1.0}]}))
-        update = sim.engine.update
-        steps = []
-
-        def spy(k, e_eta, e_dot, u_cmd, psi):
-            steps.append(k)
-            return update(k, e_eta, e_dot, u_cmd, psi)
-
-        sim.engine.update = spy
-        sim.run()
-        assert steps == list(range(sim.n_steps + 1))
+                             "speed": 1.0, "heading": 1.0}]})
+        res = Simulation(sc).run()
         # joints at 2.3 s and 5.2 s, each a few ulps before its step time,
         # and at 25.2 s, past the run
-        assert sim.scenario.joint_steps == (230, 520, 2520)
-        assert [k for k in steps if k in sim.engine.joints] == [230, 520]
+        assert (sc.joint_steps, sc.hold_steps) == ((230, 520, 2520), 100)
+        widened = np.flatnonzero(res.column("threshold")
+                                 == detection_threshold(sc.fdi, True))
+        assert np.array_equal(widened, np.r_[230:331, 520:621])
 
     def test_divergence_guard(self):
         sc = make_scenario(
@@ -449,7 +480,7 @@ class TestStep:
         sim = Simulation(make_scenario(sim={
             "duration": 1.0, "initial_state": [0.0, 0.0, 0.0, 0.0, 0.0, 1e300]}))
         s0 = sim._s
-        row = sim._cycle()
+        row = sim.step()
         assert sim.k == 1 and sim.diverged_time == sim.dt and sim._s == s0
         u1 = COLUMNS.index("u1")
         assert row[u1:u1 + 4] == (-1.0, 1.0, 1.0, -1.0)
