@@ -5,8 +5,12 @@ Detection compares a scalar residual built from the pose error against a
 threshold; identification matches the observed error-rate signs against
 the sign signature each thruster would imprint if its output dropped;
 reconfiguration walks the estimated weight of the isolated thruster down
-until the residual re-enters the threshold. `FdiEngine` runs that loop on
-the step clock: it takes and logs step indices k, and never a time.
+until the residual re-enters the threshold. `residual` and
+`detection_threshold` are the paper-form detection signal; the caller
+computes it each step (in the simulation, the kernel loop, with the
+residual unrolled) and hands `FdiEngine` only whether the residual is
+above the threshold. The engine makes the decisions on the step clock: it
+takes and logs step indices k, and never a time.
 
 The sign signature of thruster i (1-based) with command u_i at heading
 psi: losing output removes the force K_i W_i u_i along column b_i of the
@@ -132,57 +136,47 @@ def reconfigure_step(w_hat, fault_num: int, cfg: FdiConfig,
 
 
 class FdiEngine:
-    """Detection / identification / reconfiguration loop, run once per
-    control step k; a reader that wants seconds takes k * dt.
+    """Detection / identification / reconfiguration decisions, made once
+    per control step k; a reader that wants seconds takes k * dt.
+
+    The caller computes the residual, picks the step's threshold (widened
+    inside a joint's hold window) and passes `above`; in the simulation
+    that is the kernel loop.
 
     Detection is enabled only after the residual has first settled below
     the threshold, so the start-up transient never trips it; after a
     handled fault the falling trigger edge re-arms the loop for the next
     one. The weight of the isolated thruster is stepped down every
-    `period` steps (t_s / dt) while the trigger holds, and each step in
-    `joints`, where a segment joint acts, opens a hold window of itself
-    and `hold` more steps (joint_hold / dt). State lives on the engine;
-    `trigger_log` holds (k, rising) and `identified_log` (k, thruster).
+    `period` steps (t_s / dt) while the trigger holds. State lives on the
+    engine; `trigger_log` holds (k, rising) and `identified_log`
+    (k, thruster).
     """
 
-    def __init__(self, cfg: FdiConfig, geom: ThrusterGeometry,
-                 period: int, hold: int, joints):
+    def __init__(self, cfg: FdiConfig, geom: ThrusterGeometry, period: int):
         self.cfg = cfg
         self.geom = geom
-        self.period, self.hold = whole(period, "period"), whole(hold, "hold")
+        self.period = whole(period, "period")
         if self.period < 1:
             raise ValueError(f"period: must be at least 1 step, got {period!r}")
-        if self.hold < 0:
-            raise ValueError(f"hold: must be at least 0 steps, got {hold!r}")
-        self.joints = frozenset(joints)
         self.armed = False   # detection enabled once tracking has settled
         self.b_trig = False
         self.fault_num = None  # identified thruster, 1-based
         self.w_samples = 0   # steps since identification / last update
-        self.residual = self.threshold = 0.0
         self.consec_above = 0
         self.trigger_log, self.identified_log = [], []
-        self.hold_left = -1  # hold-window steps after this one; < 0: closed
-        # the threshold outside and inside a hold window, by `hold_left >= 0`
-        self.thresholds = (detection_threshold(cfg), detection_threshold(cfg, True))
 
     @property
     def idle(self) -> bool:
         """Armed, with no trigger and no count above the threshold. In this
-        state a step at no joint whose residual stays at or below the
-        threshold changes only `hold_left`, `residual` and `threshold`."""
+        state `update(k, False, ...)` changes nothing."""
         return self.armed and not self.b_trig and not self.consec_above
 
-    def update(self, k: int, e_eta, e_eta_dot, u_cmd, psi: float) -> int | None:
-        """Advance to step k. Returns the thruster index (1-based) whose
-        weight estimate is due for a decrement, else None. The caller owns
-        the estimates and applies `reconfigure_step`."""
+    def update(self, k: int, above: bool, e_eta_dot, u_cmd, psi: float) -> int | None:
+        """Advance to step k, whose residual is `above` its threshold or not
+        (a residual at the threshold is not). Returns the thruster index
+        (1-based) whose weight estimate is due for a decrement, else None.
+        The caller owns the estimates and applies `reconfigure_step`."""
         cfg = self.cfg
-        self.hold_left = self.hold if k in self.joints else self.hold_left - 1
-        self.residual = residual(e_eta, cfg.c1)
-        self.threshold = self.thresholds[self.hold_left >= 0]
-        above = self.residual > self.threshold  # at the threshold stays quiet
-
         if not self.armed:
             if not above:
                 self.armed = True

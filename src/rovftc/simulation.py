@@ -4,16 +4,11 @@ Step k starts at k * dt. `Scenario` turns every schedule into steps at
 load: a fault event or segment joint acts at the first step that starts
 at or after it (`step_index`); the update period and the joint hold
 window are whole numbers of steps. One generated function, the kernel's
-`loop`, steps the run for both `step()` and `run()`. Each step, top to
-bottom: apply the fault events due at the step, take the
-controller/allocation snapshot at the step start, run the
-detection/identification/reconfiguration loop (`FdiEngine`, which holds
-the joint steps and logs steps, not times) and any reconfiguration,
-update the running summary and pack the row, then, unless the step ends
-the run, integrate the vehicle over it with classic fourth-order
-Runge-Kutta. The step that leaves the divergence limits is the last. The
-feedback law is evaluated inside every integration stage, so on smooth
-segments the global error scales with dt^4.
+`loop`, steps the run for both `step()` and `run()`, in the order that
+`_KERNEL`'s comment gives, and integrates the vehicle with classic
+fourth-order Runge-Kutta. The feedback law is evaluated inside every
+integration stage, so on smooth segments the global error scales with
+dt^4.
 
 The inner loop is written with unrolled scalar arithmetic; the matrix
 form of every formula lives in `vehicle`, `controller` and `allocation`,
@@ -24,16 +19,17 @@ times into `loop`: the step-start snapshot, which is exactly RK4 stage k1
 (same time, state and tables), then stages k2, k3 and k4. Every
 run-constant (inertia, damping, B, their inverses, the gain ratios, the
 thruster columns, u_max, dt and its fractions, the residual weight c1,
-the divergence limit) is written into it as a float literal, and a term
-whose constant is exactly 0.0 is left out of its sum. The allocation
-rows and thrust gains change with the weights, so they are locals of
-the loop: a fault event or a weight decrement calls back into
-`Simulation`, which applies it and hands the loop its new tables. The
-loop calls `FdiEngine.update` only on steps where the engine may do more
-than count its hold window down. The reference is sampled once per
-distinct time, t + dt/2 (shared by k2 and k3) and t + dt; the sample at
-t + dt serves the next step's snapshot too when that starts at the same
-float.
+the two detection thresholds, the hold-window length, the divergence
+limit) is written into it as a literal, and a term whose constant is
+exactly 0.0 is left out of its sum. The allocation rows and thrust gains
+change with the weights, so they are locals of the loop: a fault event
+or a weight decrement calls back into `Simulation`, which applies it and
+hands the loop its new tables. The loop owns the detection signal: it
+computes the residual, keeps the joint hold window and picks the
+threshold, and calls `FdiEngine.update` only on steps where the engine's
+state may change. The reference is sampled once per distinct time,
+t + dt/2 (shared by k2 and k3) and t + dt; the sample at t + dt serves
+the next step's snapshot too when that starts at the same float.
 """
 
 from __future__ import annotations
@@ -52,7 +48,7 @@ import numpy as np
 
 from .allocation import _distribution_matrix
 from .controller import ControllerGains
-from .fdi import FdiConfig, FdiEngine, reconfigure_step
+from .fdi import FdiConfig, FdiEngine, detection_threshold, reconfigure_step
 from .trajectory import TrajectoryPlan
 from .vehicle import (TWO_PI, ThrusterBank, ThrusterGeometry, VehicleParams,
                       real, reals, whole, wrap_angle)
@@ -332,18 +328,20 @@ _TABLES = ("a00, a01, a02, a10, a11, a12, a20, a21, a22, a30, a31, a32, "
 #: k % every == 0 onto the float64 array `rows`. Each step, top to
 #: bottom: the fault events due at k (`sim._apply_events`); the reference
 #: at t = k * dt, unless the last step's t + dt sample is for the same
-#: float; stage k1, the step-start snapshot; the FDI update; the
-#: saturation count, the running summary and the row; then, unless k is
-#: the run's last step (`n_steps`), stages k2-k4 (the reference sampled at
-#: t + dt/2 and t + dt), the RK4 combination, the divergence check and the
-#: yaw wrap. The loop keeps the run's state and running values in locals
-#: and writes them back to `sim` and its engine when it returns.
+#: float; stage k1, the step-start snapshot; the detection signal and the
+#: FDI update; the saturation count, the running summary and the row;
+#: then, unless k is the run's last step (`n_steps`), stages k2-k4 (the
+#: reference sampled at t + dt/2 and t + dt), the RK4 combination, the
+#: divergence check and the yaw wrap. The loop keeps the run's state and
+#: running values in locals and writes them back to `sim` when it returns.
 #:
-#: FDI: when the engine is idle (`FdiEngine.idle`), no joint acts at k and
-#: the residual stays at or below the threshold, `update` would only count
-#: the hold window down and store the residual and the threshold, so the
-#: loop does that itself. Every other step calls `update`. Fault events
-#: call `sim._apply_events` and a due decrement `sim._reconfigure`; each
+#: FDI: a joint at k opens a hold window of k and `hold` more steps
+#: (`fdi.joint_hold`); on other steps the open window counts down. The
+#: threshold is widened while the window is open, and `update` gets
+#: `above`, whether the residual is strictly above it. When the engine is
+#: idle (`FdiEngine.idle`) and the residual is not above, `update` would
+#: change nothing, so the loop skips it. Fault events call
+#: `sim._apply_events` and a due decrement `sim._reconfigure`; each
 #: returns the loop's new `TABLES`. After a decrement stage k1 runs again
 #: with them: the commands the plant will now receive.
 #:
@@ -353,10 +351,11 @@ _TABLES = ("a00, a01, a02, a10, a11, a12, a20, a21, a22, a30, a31, a32, "
 #:
 #: `_kernel` writes each `{...}` as Python source by `_literal_sum`: a
 #: table entry such as `m01`, or a run constant such as `dt` or `c1`,
-#: becomes its float literal, a `name * operand` term whose constant is
-#: exactly 0.0 is left out of its sum, and a factor of exactly 1.0 is left
-#: out of its product. Each `@stage` line becomes `_STAGE` at its
-#: indentation, and `TABLES` becomes `_TABLES`.
+#: becomes its literal (an int for the step count `hold`, else a float), a
+#: `name * operand` term whose constant is exactly 0.0 is left out of its
+#: sum, and a factor of exactly 1.0 is left out of its product. Each
+#: `@stage` line becomes `_STAGE` at its indentation, and `TABLES` becomes
+#: `_TABLES`.
 _KERNEL = """\
 def control(s, ref, tab, full=True):
     X, Y, psi, u, v, r = s
@@ -375,11 +374,10 @@ def loop(sim, k, k_stop, rows, every):
         return
     eng = sim.engine
     sample, update, keep = sim.plan.sample_flat, eng.update, rows.frombytes
-    joints, last, win_above = eng.joints, sim.n_steps, sim._win_above
-    thr_out, thr_in = eng.thresholds
-    nsat, k_bad = sim.saturation_steps, sim._k_bad
+    joints, last, win_above = sim._joints, sim.n_steps, sim._win_above
+    nsat, k_bad, hold_left = sim.saturation_steps, sim._k_bad, sim._hold_left
     max_res, max_res_armed = sim._max_res, sim._max_res_armed
-    hold_left, armed, idle = eng.hold_left, eng.armed, eng.idle
+    armed, idle = eng.armed, eng.idle
     X, Y, psi, u, v, r = sim._s
     TABLES = sim._loop_tables()
     t_end = None
@@ -389,19 +387,18 @@ def loop(sim, k, k_stop, rows, every):
         t = k * {dt}
         if t != t_end:
             xd, yd, psid, vxd, vyd, rd, axd, ayd = sample(t)
+        hold_left = {hold} if k in joints else hold_left - 1
         due = None
         while True:
             @stage
             if due is not None:
                 break  # the snapshot after a reconfiguration
             res = sqrt(ex * ex + ey * ey + {c1} * ep * ep)
-            thr = thr_in if hold_left > 0 else thr_out
-            if idle and res <= thr and k not in joints:
-                hold_left -= 1
+            thr = {thr_in} if hold_left >= 0 else {thr_out}
+            above = res > thr
+            if idle and not above:
                 break
-            eng.hold_left = hold_left
-            due = update(k, (ex, ey, ep), (edx, edy, edr), (u1, u2, u3, u4), psi)
-            hold_left, thr = eng.hold_left, eng.threshold
+            due = update(k, above, (edx, edy, edr), (u1, u2, u3, u4), psi)
             armed, idle = eng.armed, eng.idle
             if due is None:
                 break
@@ -414,7 +411,7 @@ def loop(sim, k, k_stop, rows, every):
             max_res = res
         if armed and res > max_res_armed:
             max_res_armed = res
-        if res > thr:
+        if above:
             win_above[win] = k
         if k % every == 0:
             psid_w = fmod(psid + {pi}, {two_pi})  # wrap_angle(psid)
@@ -484,7 +481,7 @@ def loop(sim, k, k_stop, rows, every):
     sim.k, sim._s = k, (X, Y, psi, u, v, r)
     sim.saturation_steps, sim._k_bad = nsat, k_bad
     sim._max_res, sim._max_res_armed = max_res, max_res_armed
-    eng.residual, eng.threshold, eng.hold_left = res, thr, hold_left
+    sim._hold_left = hold_left
 """
 
 
@@ -513,13 +510,15 @@ def _stage(match) -> str:
 
 
 def _kernel(sc: Scenario):
-    """`_KERNEL` compiled for one scenario's tables, step and residual
-    weight; returns its `control` and `loop`. The source is registered with
-    `linecache`, so tracebacks show its lines."""
+    """`_KERNEL` compiled for one scenario's tables, step and detection
+    constants; returns its `control` and `loop`. The source is registered
+    with `linecache`, so tracebacks show its lines."""
     params, gains = sc.params, sc.gains
     consts = {"pi": math.pi, "two_pi": TWO_PI, "um": float(sc.bank.u_max),
               "dt": sc.dt, "half_dt": sc.dt * 0.5, "sixth_dt": sc.dt / 6.0,
-              "c1": sc.fdi.c1, "lim": DIVERGENCE_LIMIT}
+              "c1": sc.fdi.c1, "lim": DIVERGENCE_LIMIT, "hold": sc.hold_steps,
+              "thr_out": detection_threshold(sc.fdi),
+              "thr_in": detection_threshold(sc.fdi, True)}
     for prefix, table in (("m", params.inertia), ("i", params.inertia_inv),
                           ("l", params.lin_damping), ("b", params.B),
                           ("n", params.B_inv), ("q", params.quad_damping),
@@ -553,8 +552,9 @@ class Simulation:
         self.scenario = scenario
         self.bank = scenario.bank.copy()
         self.plan = scenario.plan
-        self.engine = FdiEngine(scenario.fdi, scenario.geometry, scenario.update_steps,
-                                scenario.hold_steps, scenario.joint_steps)
+        self.engine = FdiEngine(scenario.fdi, scenario.geometry, scenario.update_steps)
+        self._joints = frozenset(scenario.joint_steps)
+        self._hold_left = -1  # hold-window steps after this one; < 0: closed
         self.dt = scenario.dt
         self.n_steps = scenario.n_steps
         self.k = 0

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import math
@@ -13,10 +14,9 @@ from rovftc.vehicle import ThrusterGeometry
 ALPHA = math.pi / 4.0
 
 
-def make_engine(cfg, geom, joints=()):
-    """An engine stepped every 0.01 s, with segment joints at `joints`."""
-    return FdiEngine(cfg, geom, round(cfg.t_s / 0.01), round(cfg.joint_hold / 0.01),
-                     joints)
+def make_engine(cfg, geom):
+    """An engine stepped every 0.01 s."""
+    return FdiEngine(cfg, geom, round(cfg.t_s / 0.01))
 
 # sign rows for a degraded first thruster, indexed by
 # (u1 sign, cos(psi - alpha) sign, sin(psi - alpha) sign)
@@ -66,19 +66,6 @@ class TestThreshold:
     def test_widened_in_hold_window(self, fdi_cfg):
         assert detection_threshold(fdi_cfg, in_hold_window=True) \
             == pytest.approx(0.31 + fdi_cfg.joint_widen)
-
-    def test_widened_at_joint_sample(self, fdi_cfg, geom):
-        # the joint sample is the first of its own hold window, even with
-        # no hold after it
-        engine = make_engine(dataclasses.replace(fdi_cfg, joint_hold=0.0), geom,
-                             joints=(1,))
-        widened = detection_threshold(fdi_cfg, in_hold_window=True)
-        thresholds = []
-        for k in range(3):
-            engine.update(k, np.zeros(3), np.zeros(3), np.zeros(4), 0.0)
-            thresholds.append(engine.threshold)
-        assert thresholds == [detection_threshold(fdi_cfg), widened,
-                              detection_threshold(fdi_cfg)]
 
 
 class TestSignPrediction:
@@ -191,21 +178,22 @@ class TestConfigValidation:
         cfg = FdiConfig(f_smooth=0.0, joint_widen=0.0, joint_hold=0.0)
         assert cfg.f_smooth == 0.0
 
-    @pytest.mark.parametrize("period, hold, name", [
-        (math.nan, 0, "period"), (0, 0, "period"), (2.5, 0, "period"),
-        (True, 0, "period"), (1, -3, "hold")])
-    def test_engine_counts_are_whole_and_in_range(self, fdi_cfg, geom,
-                                                  period, hold, name):
+    @pytest.mark.parametrize("period", [math.nan, 0, 2.5, True])
+    def test_engine_counts_are_whole_and_in_range(self, fdi_cfg, geom, period):
         # a NaN period would never come due: reconfiguration would go quiet
-        with pytest.raises(ValueError, match=f"^{name}: "):
-            FdiEngine(fdi_cfg, geom, period, hold, ())
+        with pytest.raises(ValueError, match="^period: "):
+            FdiEngine(fdi_cfg, geom, period)
 
 
-def drive(engine, samples):
-    """Feed (k, e_eta, e_dot, u, psi) tuples; collect (k, decrement)."""
+def drive(engine, samples, in_hold_window=False):
+    """Feed (k, e_eta, e_dot, u, psi) tuples, each `above` when the oracle
+    residual of e_eta exceeds the oracle threshold (widened inside a hold
+    window); collect (k, decrement)."""
+    cfg = engine.cfg
+    thr = detection_threshold(cfg, in_hold_window)
     updates = []
     for k, e_eta, e_dot, u, psi in samples:
-        due = engine.update(k, e_eta, e_dot, u, psi)
+        due = engine.update(k, residual(e_eta, cfg.c1) > thr, e_dot, u, psi)
         if due is not None:
             updates.append((k, due))
     return updates
@@ -227,11 +215,11 @@ class TestEngine:
     def test_arms_only_after_settling(self, fdi_cfg, geom):
         engine = make_engine(fdi_cfg, geom)
         # large residual before the loop has ever settled: ignored
-        for k in range(50):
-            engine.update(k, [3.0, 4.0, 0.0], np.zeros(3), self.CRUISE_U, self.PSI)
+        drive(engine, [(k, [3.0, 4.0, 0.0], np.zeros(3), self.CRUISE_U, self.PSI)
+                       for k in range(50)])
         assert not engine.armed
         assert not engine.b_trig
-        engine.update(50, np.zeros(3), np.zeros(3), self.CRUISE_U, self.PSI)
+        drive(engine, [self.quiet(50)])
         assert engine.armed
 
     def test_debounce_then_trigger_and_identify(self, fdi_cfg, geom):
@@ -249,13 +237,15 @@ class TestEngine:
 
     def test_residual_at_threshold_stays_quiet(self, fdi_cfg, geom):
         # detection is a strict comparison: a residual that equals the
-        # threshold exactly never counts as above it
+        # threshold exactly never counts as above it. The kernel loop's own
+        # comparison is pinned by `TestStep::test_residual_at_threshold_arms`
+        # in test_simulation.py
         engine = make_engine(fdi_cfg, geom)
         drive(engine, [self.quiet(0)])
         at = np.array([detection_threshold(fdi_cfg), 0.0, 0.0])
-        for k in range(3 * fdi_cfg.n_consec):
-            drive(engine, [(k + 1, at, self.FAULT_EDOT, self.CRUISE_U, self.PSI)])
-            assert engine.residual == engine.threshold
+        assert residual(at, fdi_cfg.c1) == detection_threshold(fdi_cfg)
+        drive(engine, [(k + 1, at, self.FAULT_EDOT, self.CRUISE_U, self.PSI)
+                       for k in range(3 * fdi_cfg.n_consec)])
         assert engine.armed
         assert engine.consec_above == 0
         assert not engine.b_trig and engine.trigger_log == []
@@ -325,17 +315,41 @@ class TestEngine:
         assert len(rises) == 2
 
     def test_hold_window_suppresses_joint_spike(self, fdi_cfg, geom):
-        engine = make_engine(fdi_cfg, geom, joints=(100,))
+        engine = make_engine(fdi_cfg, geom)
         drive(engine, [self.quiet(0)])
-        # joint step opens the hold window
-        engine.update(100, np.zeros(3), np.zeros(3), self.CRUISE_U, self.PSI)
         spike = np.array([0.2, 0.2, 0.2])  # residual 0.54: above 0.31, below 0.61
-        for k in range(3 * fdi_cfg.n_consec):
-            engine.update(101 + k, spike, np.zeros(3), self.CRUISE_U, self.PSI)
-        assert not engine.b_trig
+        # inside a joint's hold window the widened threshold holds it
+        drive(engine, [(101 + k, spike, np.zeros(3), self.CRUISE_U, self.PSI)
+                       for k in range(3 * fdi_cfg.n_consec)], in_hold_window=True)
+        assert engine.armed and not engine.b_trig
         # same spike outside the window trips it
-        engine2 = make_engine(fdi_cfg, geom)
-        drive(engine2, [self.quiet(0)])
-        for k in range(fdi_cfg.n_consec + 1):
-            engine2.update(101 + k, spike, np.zeros(3), self.CRUISE_U, self.PSI)
-        assert engine2.b_trig
+        drive(engine, [(201 + k, spike, np.zeros(3), self.CRUISE_U, self.PSI)
+                       for k in range(fdi_cfg.n_consec + 1)])
+        assert engine.b_trig
+
+    def test_idle_update_below_threshold_changes_nothing(self, fdi_cfg, geom,
+                                                        monkeypatch):
+        # the kernel loop skips `update` on exactly these steps: at every
+        # step of this class's drives where the engine is idle,
+        # `update(k, False, ...)` returns None and leaves every attribute,
+        # both logs too, as it was
+        checked, plain = [], drive
+
+        def checking_drive(engine, samples, in_hold_window=False):
+            updates = []
+            for sample in samples:
+                if engine.idle:
+                    k, _, e_dot, u, psi = sample
+                    before = copy.deepcopy({**vars(engine), "geom": None})
+                    assert engine.update(k, False, e_dot, u, psi) is None
+                    assert {**vars(engine), "geom": None} == before
+                    checked.append(k)
+                updates += plain(engine, [sample], in_hold_window)
+            return updates
+
+        monkeypatch.setitem(globals(), "drive", checking_drive)
+        names = [name for name in dir(self) if name.startswith("test_")
+                 and name != "test_idle_update_below_threshold_changes_nothing"]
+        for name in names:
+            getattr(self, name)(fdi_cfg, geom)
+        assert len(names) == 9 and len(checked) == 39

@@ -740,10 +740,23 @@ def wrong_shapes(path, x):
         yield from ((path[:-1], value) for value in (x, *shapes[:2]))
 
 
+#: matrices one rounding away from singular, or scaled to the ends of the
+#: float range, and thruster angles near the rank-deficient pi/2 and 0
+NEAR_SINGULAR = [
+    "vehicle.inertia=[[1,1,0],[1,1.000000000000001,0],[0,0,1]]",
+    "vehicle.inertia=[[1e-300,0,0],[0,1e-300,0],[0,0,1e-300]]",
+    "vehicle.inertia=[[1e154,1e154,0],[1e154,1.0000000000000002e154,0],[0,0,1]]",
+    "vehicle.B=[[1,0,0],[0,1e-300,0],[0,0,1]]",
+    "vehicle.B=[[1,2,0],[0.5,1.0000000000000002,0],[0,0,1]]",
+    "vehicle.lin_damping=[[1,1,0],[1,1,0],[0,0,0]]",
+    "vehicle.alpha=1.5707963",
+    "vehicle.alpha=1e-5",
+]
+
 HOSTILE = [hostile_override(path, value) for path in numeric_leaves(_DEFAULTS)
            for value in (1e-320, 1e308, -1.0, 0.0)] + [
     hostile_override(*pair) for path in numeric_leaves(_DEFAULTS)
-    for pair in wrong_shapes(path, leaf(_DEFAULTS, path))]
+    for pair in wrong_shapes(path, leaf(_DEFAULTS, path))] + NEAR_SINGULAR
 
 
 def quiet_main(argv):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rovftc import simulation
+from rovftc import fdi, simulation
 from rovftc.allocation import achieved_wrench, allocate
 from rovftc.controller import control_law, error_rate, tracking_errors
 from rovftc.fdi import FdiConfig, detection_threshold, reconfigure_step
@@ -140,15 +140,17 @@ def reference_run(sc):
     """The run of `sc` stepped in plain Python: the kernel's `control` for
     the step-start snapshot and, with full=False, for RK4 stages k2-k4;
     classic RK4, with the reference sampled afresh at t, t + dt/2 and
-    t + dt; `FdiEngine.update` on every step; the tables bound again
-    after each fault event and each decrement. Returns every step's row,
-    the final state, the engine and the steps where `update` found the
-    engine idle, at no joint, and left the residual at or below the
-    threshold."""
+    t + dt; the detection signal from the paper-form oracle (`fdi.residual`,
+    `detection_threshold`, widened from each joint step through
+    `hold_steps` more) and `FdiEngine.update` on every step; the tables
+    bound again after each fault event and each decrement. Returns every
+    step's row, the final state, the engine and the steps where the engine
+    was idle and the residual not above the threshold."""
     sim = Simulation(sc)
     control, engine, bank, plan, dt = (sim._control, sim.engine, sim.bank,
                                        sim.plan, sim.dt)
     g1, g2 = sc.gains.gamma1.tolist(), sc.gains.gamma2.tolist()
+    windows = [(j, j + sc.hold_steps) for j in sc.joint_steps]
     events = list(zip(sc.event_steps, sc.faults))
     s, rows, idle_steps = sim._s, [], []
     for k in range(sc.n_steps + 1):
@@ -159,10 +161,11 @@ def reference_run(sc):
             sim._rebind()
         ref = plan.sample_flat(t)
         c = control(s, ref)
-        idle = engine.idle and k not in engine.joints
-        due = engine.update(k, c[6:9], c[9:12], c[15:19], s[2])
-        if idle and engine.residual <= engine.threshold:
+        res = fdi.residual(c[6:9], sc.fdi.c1)
+        thr = detection_threshold(sc.fdi, any(a <= k <= b for a, b in windows))
+        if engine.idle and not res > thr:
             idle_steps.append(k)
+        due = engine.update(k, res > thr, c[9:12], c[15:19], s[2])
         if due is not None:
             bank.w_hat = reconfigure_step(bank.w_hat, due, engine.cfg, bank.w_min)
             sim._rebind()
@@ -173,7 +176,7 @@ def reference_run(sc):
         except OverflowError:
             v2 = math.inf
         rows.append((t, *s, ref[0], ref[1], wrap_angle(ref[2]), *c[6:9],
-                     engine.residual, engine.threshold, float(engine.b_trig),
+                     res, thr, float(engine.b_trig),
                      float(engine.fault_num or 0), *bank.w_true.tolist(),
                      *bank.w_hat.tolist(), *c[15:25], v2))
         if k == sc.n_steps:
@@ -444,10 +447,15 @@ class TestStep:
         res.write_csv(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == CROSSING_CSV_SHA256
 
-    def test_joint_hold_windows_on_threshold_column(self):
+    @pytest.mark.parametrize("joint_hold, hold_steps, widened", [
+        (1.0, 100, np.r_[230:331, 520:621]),
+        (0.0, 0, [230, 520]),  # no hold after the joint: the joint step alone
+    ], ids=["hold", "no_hold"])
+    def test_joint_hold_windows_on_threshold_column(self, joint_hold,
+                                                    hold_steps, widened):
         sc = make_scenario(
             sim={"duration": 10.0, "decimation": 1},
-            fdi={"joint_hold": 1.0},
+            fdi={"joint_hold": joint_hold},
             trajectory={"initial_pose": [10.0, 5.0, HALF_PI],
                         "segments": [
                             {"mode": "straight", "duration": 2.3,
@@ -459,10 +467,22 @@ class TestStep:
         res = Simulation(sc).run()
         # joints at 2.3 s and 5.2 s, each a few ulps before its step time,
         # and at 25.2 s, past the run
-        assert (sc.joint_steps, sc.hold_steps) == ((230, 520, 2520), 100)
-        widened = np.flatnonzero(res.column("threshold")
-                                 == detection_threshold(sc.fdi, True))
-        assert np.array_equal(widened, np.r_[230:331, 520:621])
+        assert (sc.joint_steps, sc.hold_steps) == ((230, 520, 2520), hold_steps)
+        assert np.array_equal(np.flatnonzero(res.column("threshold")
+                                             == detection_threshold(sc.fdi, True)),
+                              widened)
+
+    def test_residual_at_threshold_arms(self):
+        # detection is a strict comparison: a step-0 residual that equals
+        # the threshold bit for bit is not above it, so the engine arms
+        thr = detection_threshold(FdiConfig())
+        sim = Simulation(make_scenario(
+            sim={"duration": 1.0, "initial_state": [-thr, 0.0, 0.0, 0.0, 0.0, 0.0]},
+            trajectory={"initial_pose": [0.0, 0.0, 0.0],
+                        "segments": [{"mode": "hold", "duration": 10.0}]}))
+        row = sim.step()
+        assert row[COLUMNS.index("residual")] == row[COLUMNS.index("threshold")] == thr
+        assert sim.engine.armed
 
     def test_divergence_guard(self):
         sc = make_scenario(
@@ -624,14 +644,15 @@ class TestRun:
     @pytest.mark.parametrize("make_cfg", [crossing_cfg, two_fault_cfg,
                                           between_steps_cfg, start_up_cfg])
     def test_summary_matches_whole_run_oracle(self, make_cfg):
+        # the residual and threshold columns are pinned to the oracle by
+        # `TestStep::test_run_matches_reference_stepper`
         sim = Simulation(make_scenario(**make_cfg()))
-        engine = sim.engine
         residual, threshold, enorm, b_trig, fault_num = [], [], [], [], []
         e_eta = [COLUMNS.index(name) for name in ("e_x", "e_y", "e_psi")]
 
         def collect(row):
-            residual.append(engine.residual)
-            threshold.append(engine.threshold)
+            residual.append(row[COLUMNS.index("residual")])
+            threshold.append(row[COLUMNS.index("threshold")])
             enorm.append(math.sqrt(sum(row[i] * row[i] for i in e_eta)))
             b_trig.append(row[COLUMNS.index("b_trig")])
             fault_num.append(row[COLUMNS.index("fault_num")])
