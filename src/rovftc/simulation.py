@@ -13,34 +13,37 @@ dt^4.
 The inner loop is written with unrolled scalar arithmetic; the matrix
 form of every formula lives in `vehicle`, `controller` and `allocation`,
 and the test suite checks the two paths against each other. That scalar
-arithmetic is one template, `_STAGE`, which `_kernel` compiles once per
-scenario into `control`, one evaluation that the tests check, and four
-times into `loop`: the step-start snapshot, which is exactly RK4 stage k1
-(same time, state and tables), then stages k2, k3 and k4. Every
-run-constant (inertia, damping, B, their inverses, the gain ratios, the
-thruster columns, u_max, dt and its fractions, the residual weight c1,
-the two detection thresholds, the hold-window length, the divergence
-limit) is written into it as a literal, and a term whose constant is
-exactly 0.0 is left out of its sum. The allocation rows and thrust gains
-change with the weights, so they are locals of the loop: a fault event
-or a weight decrement calls back into `Simulation`, which applies it and
-hands the loop its new tables. The loop owns the detection signal: it
-computes the residual, keeps the joint hold window and picks the
-threshold, and calls `FdiEngine.update` only on steps where the engine's
-state may change. The reference is sampled once per distinct time,
-t + dt/2 (shared by k2 and k3) and t + dt; the sample at t + dt serves
-the next step's snapshot too when that starts at the same float.
+arithmetic is one template, `_STAGE`, which `_kernel` renders into
+`control`, one evaluation that the tests check, and four times into
+`loop`: the step-start snapshot, which is exactly RK4 stage k1 (same
+time, state and tables), then stages k2, k3 and k4. A `Simulation`
+renders it when built; each distinct source is compiled once per
+process. Every run-constant (inertia, damping, B, their inverses, the
+gain ratios, the thruster columns, u_max, dt and its fractions, the
+residual weight c1, the two detection thresholds, the hold-window
+length, the divergence limit) is written into it as a literal, and a
+term whose constant is exactly 0.0 is left out of its sum. The
+allocation rows and thrust gains change with the weights, so they are
+locals of the loop: a fault event or a weight decrement calls back into
+`Simulation`, which applies it and hands the loop its new tables. The
+loop owns the detection signal: it computes the residual, keeps the
+joint hold window and picks the threshold, and calls `FdiEngine.update`
+only on steps where the engine's state may change. The reference is
+sampled once per distinct time, t + dt/2 (shared by k2 and k3) and t +
+dt; the sample at t + dt serves the next step's snapshot too when that
+starts at the same float.
 """
 
 from __future__ import annotations
 
+import functools
 import linecache
 import math
 import re
 import struct
 import time
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -126,10 +129,6 @@ class Scenario:
     hold_steps: int = field(init=False)     # fdi.joint_hold
     event_steps: tuple = field(init=False)  # where each fault event acts
     joint_steps: tuple = field(init=False)  # where each segment joint acts
-    # `_KERNEL`'s `control` and `loop`, compiled at load for the tables
-    # above, so that every Simulation of the scenario shares them and no run
-    # pays for it
-    kernel: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for key in ("dt", "duration", "settle_time"):
@@ -189,12 +188,6 @@ class Scenario:
                                  f"steps of dt = {dt} s")
         if self.initial_state.shape != (6,):
             raise ValueError("initial_state must have 6 entries")
-        self.kernel = _kernel(self)
-
-    def __reduce__(self):
-        # the kernel is compiled code: a copy is built, checked and
-        # compiled again by the constructor, as at load
-        return Scenario, tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 @dataclass
@@ -315,13 +308,12 @@ _STAGE_STATE = re.compile(r"\b(X|Y|psi|u|v|r|xdot|ydot|d3|d4|d5)\b")
 _TABLES = ("a00, a01, a02, a10, a11, a12, a20, a21, a22, a30, a31, a32, "
            "kw1, kw2, kw3, kw4, wt1, wt2, wt3, wt4, wh1, wh2, wh3, wh4, win, k_ev")
 
-#: The scalar hot path. `control(s, ref, tab, full=True)` is one stage for
-#: the state tuple `s`, the flat reference `ref` and `tab`, the 16 `a` and
-#: `kw` entries (`Simulation._tab`). With `full=False` it returns the
-#: state derivative alone; otherwise the snapshot
+#: The scalar hot path. `control(s, ref, tab)` is one stage for the state
+#: tuple `s`, the flat reference `ref` and `tab`, the 16 `a` and `kw`
+#: entries (`Simulation._tab`). It returns the snapshot
 #:   (d0..d5, ex, ey, ep, edx, edy, edr, en1, en2, en3,
 #:    u1..u4, tc1, tc2, tc3, tu, tv, tr, sat)
-#: whose first six entries are that same derivative.
+#: whose first six entries are the state derivative.
 #:
 #: `loop(sim, k, k_stop, rows, every)` runs steps k .. k_stop - 1 of `sim`,
 #: or up to the step that diverges, and packs the row of each step k with
@@ -345,7 +337,7 @@ _TABLES = ("a00, a01, a02, a10, a11, a12, a20, a21, a22, a30, a31, a32, "
 #: returns the loop's new `TABLES`. After a decrement stage k1 runs again
 #: with them: the commands the plant will now receive.
 #:
-#: `_kernel` calls `loop` 8 times with k == k_stop when it compiles it:
+#: `_compiled` calls `loop` 8 times with k == k_stop when it compiles it:
 #: CPython 3.11 specializes a function's bytecode to its operand types
 #: from the 8th call on, and a run calls `loop` once.
 #:
@@ -357,13 +349,11 @@ _TABLES = ("a00, a01, a02, a10, a11, a12, a20, a21, a22, a30, a31, a32, "
 #: `@stage` line becomes `_STAGE` at its indentation, and `TABLES` becomes
 #: `_TABLES`.
 _KERNEL = """\
-def control(s, ref, tab, full=True):
+def control(s, ref, tab):
     X, Y, psi, u, v, r = s
     xd, yd, psid, vxd, vyd, rd, axd, ayd = ref
     a00, a01, a02, a10, a11, a12, a20, a21, a22, a30, a31, a32, kw1, kw2, kw3, kw4 = tab
     @stage
-    if not full:
-        return (xdot, ydot, r, d3, d4, d5)
     sat = (u1 != ur1) or (u2 != ur2) or (u3 != ur3) or (u4 != ur4)
     return (xdot, ydot, r, d3, d4, d5, ex, ey, ep, edx, edy, edr,
             en1, en2, en3, u1, u2, u3, u4, tc1, tc2, tc3, tu, tv, tr, sat)
@@ -510,9 +500,7 @@ def _stage(match) -> str:
 
 
 def _kernel(sc: Scenario):
-    """`_KERNEL` compiled for one scenario's tables, step and detection
-    constants; returns its `control` and `loop`. The source is registered
-    with `linecache`, so tracebacks show its lines."""
+    """`_KERNEL` rendered for `sc`'s tables and constants, `_compiled`."""
     params, gains = sc.params, sc.gains
     consts = {"pi": math.pi, "two_pi": TWO_PI, "um": float(sc.bank.u_max),
               "dt": sc.dt, "half_dt": sc.dt * 0.5, "sixth_dt": sc.dt / 6.0,
@@ -532,6 +520,13 @@ def _kernel(sc: Scenario):
     source = re.sub(r"^( *)@stage(\w*)\n", _stage, _KERNEL, flags=re.M)
     source = re.sub(r"\{([^{}]*)\}", lambda m: _literal_sum(m.group(1), consts),
                     source.replace("TABLES", _TABLES))
+    return _compiled(source)
+
+
+@functools.cache
+def _compiled(source: str):
+    """`source` compiled once per process and registered with `linecache`
+    (which keeps every source too); returns its `control` and `loop`."""
     filename = f"<rovftc kernel {hash(source) & 0xFFFFFFFF:08x}>"
     linecache.cache[filename] = (len(source), None,
                                  source.splitlines(True), filename)
@@ -553,14 +548,13 @@ class Simulation:
         self.bank = scenario.bank.copy()
         self.plan = scenario.plan
         self.engine = FdiEngine(scenario.fdi, scenario.geometry, scenario.update_steps)
+        self._kernel = _kernel(scenario)
         self._joints = frozenset(scenario.joint_steps)
         self._hold_left = -1  # hold-window steps after this one; < 0: closed
-        self.dt = scenario.dt
-        self.n_steps = scenario.n_steps
+        self.dt, self.n_steps = scenario.dt, scenario.n_steps
         self.k = 0
-        s0 = [float(x) for x in scenario.initial_state]
-        s0[2] = wrap_angle(s0[2])
-        self._s = tuple(s0)  # (x, y, psi, u, v, r), psi wrapped
+        x, y, psi, u, v, r = scenario.initial_state.tolist()
+        self._s = (x, y, wrap_angle(psi), u, v, r)  # psi wrapped
         self.diverged_time = None  # set by the step that leaves the limits
         self.saturation_steps = 0
         self._event_idx = 0  # events applied; also the open fault window
@@ -588,10 +582,10 @@ class Simulation:
         self._tab = tuple(rows.ravel().tolist() + (bank.K * bank.w_true).tolist())
         self._weights = tuple(bank.w_true.tolist() + bank.w_hat.tolist())
 
-    def _control(self, s, ref, full=True):
+    def _control(self, s, ref):
         """The kernel's `control` for state `s` and flat reference `ref`
         with the current tables."""
-        return self.scenario.kernel.control(s, ref, self._tab, full)
+        return self._kernel.control(s, ref, self._tab)
 
     def _loop_tables(self) -> tuple:
         """The kernel loop's `_TABLES`: the current tables, the recorded
@@ -624,7 +618,7 @@ class Simulation:
         if self.k >= self.n_steps or self.diverged_time is not None:
             raise RuntimeError("no step left: the run has ended or diverged")
         row = array("d")
-        self.scenario.kernel.loop(self, self.k, self.k + 1, row, 1)
+        self._kernel.loop(self, self.k, self.k + 1, row, 1)
         return tuple(row)
 
     def run(self) -> SimResult:
@@ -633,7 +627,7 @@ class Simulation:
         rows = array("d")  # the kept rows, flat; numpy views the buffer
         started = time.perf_counter()
         if self.diverged_time is None:
-            sc.kernel.loop(self, self.k, self.n_steps + 1, rows, sc.decimation)
+            self._kernel.loop(self, self.k, self.n_steps + 1, rows, sc.decimation)
         summary = self._build_summary(time.perf_counter() - started)
         return SimResult(sc.name, np.frombuffer(rows).reshape(-1, len(COLUMNS)),
                          summary, self.diverged_time)
@@ -644,9 +638,7 @@ class Simulation:
         """The summary of every boundary seen so far, from the running
         values and the engine's logs, all in steps; step k starts at k * dt,
         the one conversion made as the dict is written."""
-        sc = self.scenario
-        dt = self.dt
-        eng = self.engine
+        sc, dt, eng = self.scenario, self.dt, self.engine
         last, bad = self.k - 1, self._k_bad  # the last boundary seen
         # convergence time: |e_eta| stays within 0.05 from t_c onward
         t_c = 0.0 if bad < 0 else None if bad == last else (bad + 1) * dt

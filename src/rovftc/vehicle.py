@@ -86,6 +86,12 @@ def positive_semidefinite(m) -> bool:
     return all(x >= 0.0 for x in minors)
 
 
+def clearly_positive_definite(m) -> bool:
+    """`positive_definite(m - tol I)`, tol = 1e-10 * max(1, max |m_ij|): a
+    symmetric 3x3 `m` within tol of singular, whose inverse is noise, fails."""
+    return positive_definite(m - 1e-10 * max(1.0, np.abs(m).max()) * np.eye(3))
+
+
 def rotation_matrix(psi: float) -> np.ndarray:
     """Body-to-navigation rotation about the vertical axis.
 
@@ -129,9 +135,10 @@ class VehicleParams:
     matrix mapping wrench to acceleration.
 
     The three matrices may be given as their 3 diagonal entries. inertia
-    must be symmetric positive definite, B strictly positive definite, the
-    symmetric part of lin_damping positive semidefinite and quad_damping
-    non-negative; violations raise at construction time.
+    must be symmetric positive definite and B strictly positive definite,
+    both clearly so (`clearly_positive_definite`), the symmetric part of
+    lin_damping positive semidefinite and quad_damping non-negative;
+    violations raise at construction time.
     """
 
     inertia: np.ndarray       # 3x3, kg / kg m^2
@@ -168,10 +175,12 @@ class VehicleParams:
             raise ValueError("quad_damping entries must be non-negative")
         self.inertia_inv = np.linalg.inv(self.inertia)
         self.B_inv = np.linalg.inv(self.B)
-        for name in ("inertia", "B"):
+        for name, m in (("inertia", self.inertia), ("B", sym_b)):
             if not np.isfinite(getattr(self, f"{name}_inv")).all():
                 raise ValueError(f"{name} is too near singular: its inverse "
                                  "overflows")
+            if not clearly_positive_definite(m):
+                raise ValueError(f"{name} is too near singular to invert")
 
 
 def coriolis_vector(nu: np.ndarray, inertia: np.ndarray) -> np.ndarray:
@@ -235,15 +244,13 @@ def config_matrix(alpha: float, l: float) -> np.ndarray:
 def pseudo_inverse(t_conf: np.ndarray) -> np.ndarray:
     """Minimum-norm right inverse T^T (T T^T)^-1 of the 3x4 configuration
     matrix. Rejects rank-deficient geometry: the gram T T^T has rank 3
-    when its smallest eigenvalue exceeds tol, that is when T T^T - tol I
-    is positive definite."""
+    when it is `clearly_positive_definite`."""
     t_conf = np.asarray(t_conf, dtype=float)
     with np.errstate(over="ignore"):
         gram = t_conf @ t_conf.T
     if np.isinf(gram).any():  # a NaN entry is left to the rank test
         raise ValueError("configuration matrix too large: T T^T overflows")
-    tol = 1e-10 * max(1.0, np.abs(gram).max())
-    if not positive_definite(gram - tol * np.eye(3)):
+    if not clearly_positive_definite(gram):
         raise ValueError("configuration matrix is rank deficient; "
                          "cannot form the right inverse")
     return t_conf.T @ np.linalg.inv(gram)

@@ -613,6 +613,19 @@ class TestCli:
                 "fig3_baseline", tmp_path, capsys, "--override", override):
             assert "overflows" in err
 
+    @pytest.mark.parametrize("override", [
+        "vehicle.inertia=[[1,1,0],[1,1.000000000000001,0],[0,0,1]]",
+        "vehicle.inertia=[[1e-300,0,0],[0,1e-300,0],[0,0,1e-300]]",
+        "vehicle.inertia=[[1e154,1e154,0],[1e154,1.0000000000000002e154,0],"
+        "[0,0,1]]"])
+    def test_near_singular_inertia_rejected(self, tmp_path, capsys, override):
+        # positive definite, with a finite inverse, but within rounding of
+        # singular: that inverse is noise, and the run would diverge on its
+        # first step
+        for err in self.rejected_by_every_command(
+                "fig3_baseline", tmp_path, capsys, "--override", override):
+            assert "inertia is too near singular" in err
+
     @pytest.mark.parametrize("override, named", [
         ("vehicle.K=[1e-320,40,40,40]", "vehicle.K too small"),
         ("vehicle.l=1e308", "T T^T overflows"),

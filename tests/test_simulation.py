@@ -9,6 +9,7 @@ import pytest
 
 from rovftc import fdi, simulation
 from rovftc.allocation import achieved_wrench, allocate
+from rovftc.cli import main
 from rovftc.controller import control_law, error_rate, tracking_errors
 from rovftc.fdi import FdiConfig, detection_threshold, reconfigure_step
 from rovftc.scenario import load_scenario, scenario_from_dict
@@ -138,7 +139,7 @@ def oracle_summary(residual, threshold, enorm, b_trig, fault_num, dt,
 
 def reference_run(sc):
     """The run of `sc` stepped in plain Python: the kernel's `control` for
-    the step-start snapshot and, with full=False, for RK4 stages k2-k4;
+    the step-start snapshot, and its first six entries for RK4 stages k2-k4;
     classic RK4, with the reference sampled afresh at t, t + dt/2 and
     t + dt; the detection signal from the paper-form oracle (`fdi.residual`,
     `detection_threshold`, widened from each joint step through
@@ -183,9 +184,9 @@ def reference_run(sc):
             break
         h, mid, end = dt * 0.5, plan.sample_flat(t + dt * 0.5), plan.sample_flat(t + dt)
         k1 = c[:6]
-        k2 = control(tuple(a + h * d for a, d in zip(s, k1)), mid, False)
-        k3 = control(tuple(a + h * d for a, d in zip(s, k2)), mid, False)
-        k4 = control(tuple(a + dt * d for a, d in zip(s, k3)), end, False)
+        k2 = control(tuple(a + h * d for a, d in zip(s, k1)), mid)[:6]
+        k3 = control(tuple(a + h * d for a, d in zip(s, k2)), mid)[:6]
+        k4 = control(tuple(a + dt * d for a, d in zip(s, k3)), end)[:6]
         s = tuple(a + dt / 6.0 * (d1 + 2.0 * (d2 + d3) + d4)
                   for a, d1, d2, d3, d4 in zip(s, k1, k2, k3, k4))
         assert max(map(abs, s)) <= simulation.DIVERGENCE_LIMIT
@@ -374,13 +375,13 @@ class TestStep:
                 assert np.abs(np.array(c[22:25]) - tau).max() < 1e-9 * scale
                 assert c[25] == alloc.saturated
                 assert np.abs(np.array(c[:6]) - expected).max() < 1e-9 * scale
-                # the RK4 stage path returns the same derivative, bit for bit
-                assert sim._control(s, sc.plan.sample_flat(t), False) == c[:6]
 
     @pytest.mark.slow
     def test_kernel_compiled_once_per_run(self, monkeypatch):
         # fig7_failure rebuilds the kernel's tables at each of its fault
-        # events and weight decrements; none of them compiles
+        # events and weight decrements; none of them compiles: the
+        # Simulation has its kernel before the run starts
+        sim = Simulation(load_scenario("fig7_failure"))
         compiled, rebinds = [], []
 
         def counted_compile(source, filename, mode):
@@ -394,9 +395,29 @@ class TestStep:
         distribution_matrix = simulation._distribution_matrix
         monkeypatch.setattr(simulation, "compile", counted_compile, raising=False)
         monkeypatch.setattr(simulation, "_distribution_matrix", counted_rows)
-        res = Simulation(load_scenario("fig7_failure")).run()
-        assert len(compiled) == 1 and compiled[0].startswith("<rovftc kernel")
+        res = sim.run()
+        assert compiled == []
         assert len(rebinds) > 50 and not res.diverged
+
+    def test_one_kernel_per_distinct_source(self, monkeypatch):
+        # the table1 cases differ only in trajectory, start state and
+        # fault, so they render one source and share one compile; another
+        # dt is another source; validating compiles nothing. No other test
+        # sets fdi.c1 = 4.321, so each source is new to the process
+        compiled = []
+        monkeypatch.setattr(simulation, "compile", lambda *args: (
+            compiled.append(args[1]) or compile(*args)), raising=False)
+        cases = [f"table1_case{i}" for i in range(1, 9)]
+        for n, overrides in enumerate((["fdi.c1=4.321"],
+                                       ["fdi.c1=4.321", "sim.dt=0.005"]), 1):
+            flags = [arg for item in overrides for arg in ("--override", item)]
+            for name in cases:
+                assert main(["validate", name, *flags]) == 0
+            assert len(compiled) == n - 1
+            for name in cases:
+                Simulation(load_scenario(name, overrides)).step()
+            assert len(compiled) == n
+        assert len(set(compiled)) == 2
 
     def test_kernel_lines_in_traceback(self):
         sim = Simulation(make_scenario(sim={"duration": 1.0}))

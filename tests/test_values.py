@@ -133,8 +133,9 @@ def assert_same(a, b, where="scenario"):
 @pytest.mark.parametrize("rebuild", [lambda sc: pickle.loads(pickle.dumps(sc)),
                                      dataclasses.replace], ids=["pickle", "replace"])
 def test_a_rebuilt_scenario_equals_its_original(rebuild, tmp_path):
-    # the constructor converts what it reads, so a second pass through it
-    # must change nothing: not a value, not a type, not a CSV byte
+    # the constructor converts what it reads, so neither a second pass
+    # through it (replace) nor a copy of what it stored (pickle) may
+    # change anything: not a value, not a type, not a CSV byte
     sc = load_scenario("fault_thruster1", [
         "sim.duration=2", "sim.settle_time=0",
         "faults=[{time: 1, thruster: 1.0, weight: 0.3}]"])
