@@ -24,14 +24,14 @@ residual weight c1, the two detection thresholds, the hold-window
 length, the divergence limit) is written into it as a literal, and a
 term whose constant is exactly 0.0 is left out of its sum. The
 allocation rows and thrust gains change with the weights, so they are
-locals of the loop: a fault event or a weight decrement calls back into
-`Simulation`, which applies it and hands the loop its new tables. The
-loop owns the detection signal: it computes the residual, keeps the
-joint hold window and picks the threshold, and calls `FdiEngine.update`
-only on steps where the engine's state may change. The reference is
-sampled once per distinct time, t + dt/2 (shared by k2 and k3) and t +
-dt; the sample at t + dt serves the next step's snapshot too when that
-starts at the same float.
+locals of the loop, bound by its one callback, `Simulation._tables`: at
+loop entry, at a fault event and at a weight decrement. The loop owns
+the detection signal: it computes the residual, keeps the joint hold
+window and picks the threshold, and calls `FdiEngine.update` only on
+steps where the engine's state may change. The reference is sampled
+once per distinct time, t + dt/2 (shared by k2 and k3) and t + dt; the
+sample at t + dt serves the next step's snapshot too when that starts at
+the same float.
 """
 
 from __future__ import annotations
@@ -107,8 +107,9 @@ class Scenario:
     """Everything one closed-loop run needs. The constructor enforces the
     standing fault assumptions: thrusters 1..4, weights in [0, 1] that
     only ever fall, one thruster at a time (events strictly ordered in
-    time), the first event after the tracking loop has settled, and the
-    last one early enough to act on the plant."""
+    time), the first event after the tracking loop has settled and not
+    before the run starts, and the last one early enough to act on the
+    plant. The start state must be inside the divergence limit."""
 
     name: str
     params: VehicleParams
@@ -154,6 +155,9 @@ class Scenario:
                 raise ValueError(f"fault event at t={ev.time}: before the "
                                  f"settle time {self.settle_time} s, the "
                                  "tracking loop may not have stabilized")
+            if ev.time < -TIME_TOL:  # step_index would move it to step 0
+                raise ValueError(f"fault event at t={ev.time}: before the "
+                                 "run starts at t = 0")
             if ev.weight >= current[ev.thruster]:
                 raise ValueError(f"fault event at t={ev.time}: weight of "
                                  f"thruster {ev.thruster} must decrease "
@@ -188,6 +192,12 @@ class Scenario:
                                  f"steps of dt = {dt} s")
         if self.initial_state.shape != (6,):
             raise ValueError("initial_state must have 6 entries")
+        x, y, _, u, v, r = np.abs(self.initial_state).tolist()  # yaw wraps
+        if max(x, y, u, v, r) > DIVERGENCE_LIMIT:
+            raise ValueError(f"sim.initial_state: |x|, |y|, |u|, |v| and |r| "
+                             f"must be at most {DIVERGENCE_LIMIT:g}, past "
+                             "which a run diverges, got "
+                             f"{self.initial_state.tolist()}")
 
 
 @dataclass
@@ -310,7 +320,7 @@ _TABLES = ("a00, a01, a02, a10, a11, a12, a20, a21, a22, a30, a31, a32, "
 
 #: The scalar hot path. `control(s, ref, tab)` is one stage for the state
 #: tuple `s`, the flat reference `ref` and `tab`, the 16 `a` and `kw`
-#: entries (`Simulation._tab`). It returns the snapshot
+#: entries (the first 16 of `Simulation._tables`). It returns the snapshot
 #:   (d0..d5, ex, ey, ep, edx, edy, edr, en1, en2, en3,
 #:    u1..u4, tc1, tc2, tc3, tu, tv, tr, sat)
 #: whose first six entries are the state derivative.
@@ -318,7 +328,7 @@ _TABLES = ("a00, a01, a02, a10, a11, a12, a20, a21, a22, a30, a31, a32, "
 #: `loop(sim, k, k_stop, rows, every)` runs steps k .. k_stop - 1 of `sim`,
 #: or up to the step that diverges, and packs the row of each step k with
 #: k % every == 0 onto the float64 array `rows`. Each step, top to
-#: bottom: the fault events due at k (`sim._apply_events`); the reference
+#: bottom: the fault events due at k (`sim._tables(k)`); the reference
 #: at t = k * dt, unless the last step's t + dt sample is for the same
 #: float; stage k1, the step-start snapshot; the detection signal and the
 #: FDI update; the saturation count, the running summary and the row;
@@ -332,10 +342,10 @@ _TABLES = ("a00, a01, a02, a10, a11, a12, a20, a21, a22, a30, a31, a32, "
 #: threshold is widened while the window is open, and `update` gets
 #: `above`, whether the residual is strictly above it. When the engine is
 #: idle (`FdiEngine.idle`) and the residual is not above, `update` would
-#: change nothing, so the loop skips it. Fault events call
-#: `sim._apply_events` and a due decrement `sim._reconfigure`; each
-#: returns the loop's new `TABLES`. After a decrement stage k1 runs again
-#: with them: the commands the plant will now receive.
+#: change nothing, so the loop skips it. The loop binds `TABLES` by
+#: `sim._tables(k)` at entry and at a fault event, and by
+#: `sim._tables(k, due)` at a due decrement. After a decrement stage k1
+#: runs again with them: the commands the plant will now receive.
 #:
 #: `_compiled` calls `loop` 8 times with k == k_stop when it compiles it:
 #: CPython 3.11 specializes a function's bytecode to its operand types
@@ -369,11 +379,11 @@ def loop(sim, k, k_stop, rows, every):
     max_res, max_res_armed = sim._max_res, sim._max_res_armed
     armed, idle = eng.armed, eng.idle
     X, Y, psi, u, v, r = sim._s
-    TABLES = sim._loop_tables()
+    TABLES = sim._tables(k)
     t_end = None
     while k < k_stop:
         if k >= k_ev:
-            TABLES = sim._apply_events(k)
+            TABLES = sim._tables(k)
         t = k * {dt}
         if t != t_end:
             xd, yd, psid, vxd, vyd, rd, axd, ayd = sample(t)
@@ -392,7 +402,7 @@ def loop(sim, k, k_stop, rows, every):
             armed, idle = eng.armed, eng.idle
             if due is None:
                 break
-            TABLES = sim._reconfigure(due)
+            TABLES = sim._tables(k, due)
         if u1 != ur1 or u2 != ur2 or u3 != ur3 or u4 != ur4:
             nsat += 1
         if sqrt(ex * ex + ey * ey + ep * ep) > 0.05:
@@ -563,52 +573,33 @@ class Simulation:
         self._k_bad = -1  # running summary: last boundary with |e_eta| > 0.05
         self._max_res = self._max_res_armed = 0.0
         self._win_above = [None] * (len(self._events) + 1)  # last k above, per window
-        self._rebind()
 
     @property
     def state(self) -> np.ndarray:
         """Current (x, y, psi, u, v, r) as a fresh array."""
         return np.array(self._s)
 
-    # -- the kernel's tables and callbacks ----------------------------------
+    # -- the kernel's one callback -----------------------------------------
 
-    def _rebind(self):
-        """Set the kernel's tables and the recorded weights from the true
-        weights and estimates, with allocation rows for the active set."""
-        bank = self.bank
+    def _tables(self, k, due=None) -> tuple:
+        """The kernel loop's `_TABLES` at step k. Applies the fault events
+        due at k (none at k = -1, before step 0), steps the weight estimate
+        of thruster `due` down if the FDI engine asked, then binds the
+        allocation rows for the active set and the thrust gains
+        K * w_true: the first 16 entries, `control`'s `tab`."""
+        bank, event_steps = self.bank, self._event_steps
+        while event_steps[self._event_idx] <= k:
+            ev = self._events[self._event_idx]
+            bank.w_true[ev.thruster - 1] = ev.weight
+            self._event_idx += 1
+        if due is not None:
+            bank.w_hat = reconfigure_step(bank.w_hat, due, self.engine.cfg, bank.w_min)
         active = ~bank.failed_mask()
         rows = (_distribution_matrix(self.scenario.geometry, active)
                 / np.where(active, bank.K * bank.w_hat, 1.0)[:, None])
-        self._tab = tuple(rows.ravel().tolist() + (bank.K * bank.w_true).tolist())
-        self._weights = tuple(bank.w_true.tolist() + bank.w_hat.tolist())
-
-    def _control(self, s, ref):
-        """The kernel's `control` for state `s` and flat reference `ref`
-        with the current tables."""
-        return self._kernel.control(s, ref, self._tab)
-
-    def _loop_tables(self) -> tuple:
-        """The kernel loop's `_TABLES`: the current tables, the recorded
-        weights, the open fault window and the step of the next event."""
-        return (*self._tab, *self._weights, self._event_idx,
-                self._event_steps[self._event_idx])
-
-    def _apply_events(self, k) -> tuple:
-        """Apply the fault events due at step k; the loop's new tables."""
-        while self._event_steps[self._event_idx] <= k:
-            ev = self._events[self._event_idx]
-            self.bank.w_true[ev.thruster - 1] = ev.weight
-            self._rebind()
-            self._event_idx += 1
-        return self._loop_tables()
-
-    def _reconfigure(self, thruster) -> tuple:
-        """Step the weight estimate of `thruster` down, as the FDI engine
-        asked; the loop's new tables."""
-        self.bank.w_hat = reconfigure_step(self.bank.w_hat, thruster,
-                                           self.engine.cfg, self.bank.w_min)
-        self._rebind()
-        return self._loop_tables()
+        return (*rows.ravel().tolist(), *(bank.K * bank.w_true).tolist(),
+                *bank.w_true.tolist(), *bank.w_hat.tolist(),
+                self._event_idx, event_steps[self._event_idx])
 
     # -- stepping ---------------------------------------------------------
 

@@ -139,15 +139,16 @@ def test_04_deficit_sign_oracle():
             for thruster in range(1, 5):
                 sc = scenario_from_dict(cfg, name="oracle")
                 sim = Simulation(sc)
-                c = sim._control(tuple(sim.state), sc.plan.sample_flat(0.0))
+                c = sim._kernel.control(tuple(sim.state), sc.plan.sample_flat(0.0),
+                                        sim._tables(-1)[:16])
                 u_cmd = c[15:19]
                 pattern = predict_sign_pattern(thruster, u_cmd[thruster - 1],
                                                heading, sc.geometry, sc.fdi)
                 assert 0 not in pattern, "combo must meet dead-band conditions"
                 sim.bank.w_true[thruster - 1] = 0.8
-                sim._rebind()
-                sim.step()
-                c2 = sim._control(tuple(sim.state), sc.plan.sample_flat(sc.dt))
+                sim.step()  # binds the cut weight at loop entry
+                c2 = sim._kernel.control(tuple(sim.state), sc.plan.sample_flat(sc.dt),
+                                         sim._tables(-1)[:16])
                 e_dot = np.array(c2[9:12])
                 assert np.abs(e_dot).min() > 1e-9, "deviation unresolvable"
                 measured = tuple(int(np.sign(x)) for x in e_dot)

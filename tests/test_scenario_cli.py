@@ -438,7 +438,7 @@ class TestCli:
         path = self.short_scenario(
             tmp_path,
             sim={"duration": 5.0,
-                 "initial_state": [2.0e6, 0.0, 0.0, 0.0, 0.0, 0.0]})
+                 "initial_state": [0.0, 0.0, 0.0, 0.0, 0.0, 999999.0]})
         code = main(["run", str(path), "--out", str(tmp_path / "out")])
         assert code == 3
         # partial CSV retained with the abort marker
@@ -449,14 +449,36 @@ class TestCli:
                                                             capsys):
         # diverges at t = 0.01 s, long before the fault at t = 100 s
         assert main(["run", "fault_thruster2", "--out", str(tmp_path),
-                     "--override", "sim.initial_state=[2.0e6,0,0,0,0,0]"]) == 3
+                     "--override", "sim.initial_state=[0,0,0,0,0,999999.0]"]) == 3
         text = (tmp_path / "fault_thruster2_summary.txt").read_text()
         assert "RECONFIGURATION FAILURES at: [100.0]" in text
         assert "re-settled" not in text
 
+    def test_unidentified_fault_is_an_identification_failure(self, tmp_path,
+                                                             capsys):
+        # at heading pi/8 and surge +1 the signs of thruster 3 match, but
+        # a fall to 0.6 moves x_e too little to pass delta1: detected,
+        # never identified, and no exit code says so; only the summary does
+        heading = repr(math.pi / 8)
+        flags = [arg for item in (
+            f"sim.initial_state=[0,0,{heading},1.0,0,0]",
+            f"trajectory.initial_pose=[0,0,{heading}]",
+            "trajectory.segments=[{mode: straight, duration: 120.0, "
+            f"speed: 1.0, heading: {heading}}}]",
+            "faults=[{time: 60.0, thruster: 3, weight: 0.6}]")
+            for arg in ("--override", item)]
+        assert main(["run", "table1_case1", "--out", str(tmp_path), *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert ("  t=60.0 s thruster 3 -> w=0.6: detected +1.05 s; not "
+                "identified; NO RECONVERGENCE; |w_hat - w|=0.400") in lines
+        assert "RECONFIGURATION FAILURES at: [60.0]" in lines
+        assert "IDENTIFICATION FAILURES at: [60.0]" in lines
+        assert main(["batch", "table1_case1", "--out", str(tmp_path), *flags]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split()
+        assert row[:5] == ["table1_case1", "1", "-", "0.400", "1"]
+
     @pytest.mark.parametrize("override", [
-        "gains.a1=[1e300,1,1]", "trajectory.initial_pose=[1e308,0,0]",
-        "sim.initial_state=[0,0,0,0,0,1e300]"])
+        "gains.a1=[1e300,1,1]", "trajectory.initial_pose=[1e308,0,0]"])
     def test_overflowing_error_energy_is_no_crash(self, tmp_path, capsys,
                                                   override):
         extra = ["--override", override, "--override", "sim.duration=2.0"]
@@ -658,7 +680,12 @@ class TestCli:
          "(currently 0.5)"),
         ("faults=[{time: 600, thruster: 1, weight: 0.5}]",
          "sim: fault event at t=600.0: after the last step starts (599.99 s, "
-         "end of the run 600.0 s), so it never acts on the plant")])
+         "end of the run 600.0 s), so it never acts on the plant"),
+        # a start already past the divergence limit; the yaw wraps
+        ("sim.initial_state=[0,0,0,0,0,1e300]",
+         "sim.initial_state: |x|, |y|, |u|, |v| and |r| must be at most 1e+06"),
+        ("sim.initial_state=[2e6,0,0,0,0,0]",
+         "sim.initial_state: |x|, |y|, |u|, |v| and |r| must be at most 1e+06")])
     def test_rejection_names_the_value(self, tmp_path, capsys, override,
                                        named):
         for err in self.rejected_by_every_command(

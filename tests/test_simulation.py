@@ -148,8 +148,12 @@ def reference_run(sc):
     step's row, the final state, the engine and the steps where the engine
     was idle and the residual not above the threshold."""
     sim = Simulation(sc)
-    control, engine, bank, plan, dt = (sim._control, sim.engine, sim.bank,
-                                       sim.plan, sim.dt)
+    engine, bank, plan, dt = sim.engine, sim.bank, sim.plan, sim.dt
+    tab = sim._tables(-1)[:16]
+
+    def control(s, ref):
+        return sim._kernel.control(s, ref, tab)
+
     g1, g2 = sc.gains.gamma1.tolist(), sc.gains.gamma2.tolist()
     windows = [(j, j + sc.hold_steps) for j in sc.joint_steps]
     events = list(zip(sc.event_steps, sc.faults))
@@ -159,7 +163,7 @@ def reference_run(sc):
         while events and events[0][0] <= k:
             ev = events.pop(0)[1]
             bank.w_true[ev.thruster - 1] = ev.weight
-            sim._rebind()
+            tab = sim._tables(-1)[:16]
         ref = plan.sample_flat(t)
         c = control(s, ref)
         res = fdi.residual(c[6:9], sc.fdi.c1)
@@ -169,7 +173,7 @@ def reference_run(sc):
         due = engine.update(k, res > thr, c[9:12], c[15:19], s[2])
         if due is not None:
             bank.w_hat = reconfigure_step(bank.w_hat, due, engine.cfg, bank.w_min)
-            sim._rebind()
+            tab = sim._tables(-1)[:16]
             c = control(s, ref)
         try:
             v2 = 0.5 * (g1[0] * c[6] ** 2 + g1[1] * c[7] ** 2 + g1[2] * c[8] ** 2
@@ -284,8 +288,13 @@ class TestFaultSchedule:
      "faults[0].time: must be finite, got nan"),
     ({"initial_state": [0.0, 0.0, math.nan, 0.0, 0.0, 0.0]},
      "sim.initial_state: must be finite, got nan"),
+    ({"initial_state": [0.0, 0.0, 0.0, 0.0, -1.5e6, 0.0]},
+     "sim.initial_state: |x|, |y|, |u|, |v| and |r| must be at most 1e+06"),
+    ({"settle_time": -10.0, "faults": (FaultEvent(-5.0, 1, 0.5),)},
+     "fault event at t=-5.0: before the run starts at t = 0"),
 ], ids=["fractional-decimation", "nan-decimation", "float-thruster",
-        "bool-thruster", "nan-settle-time", "nan-fault-time", "nan-initial-state"])
+        "bool-thruster", "nan-settle-time", "nan-fault-time", "nan-initial-state",
+        "diverged-initial-state", "fault-before-start"])
 def test_constructor_rejects_what_a_file_would(change, message):
     sc = make_scenario(sim={"duration": 100.0})
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -297,6 +306,16 @@ def test_constructor_takes_an_integral_float_count_as_a_file_does():
     built = dataclasses.replace(sc, faults=(FaultEvent(60.0, 1.0, 0.5),), decimation=3.0)
     assert built.faults[0].thruster == 1 and type(built.faults[0].thruster) is int
     assert built.decimation == 3 and type(built.decimation) is int
+
+
+def test_start_yaw_is_exempt_from_the_divergence_limit():
+    # the simulation wraps the yaw, so only the other five entries must
+    # lie inside the limit; a start exactly at the limit is inside
+    lim = simulation.DIVERGENCE_LIMIT
+    sc = make_scenario(sim={"duration": 1.0,
+                            "initial_state": [0.0, 0.0, 2e6, 0.0, 0.0, 0.0]})
+    assert Simulation(sc).state[2] == wrap_angle(2e6)
+    dataclasses.replace(sc, initial_state=[lim, -lim, 1e300, lim, -lim, lim])
 
 
 def test_weight_floors_must_agree():
@@ -326,8 +345,7 @@ def test_setup_calls_no_eigen_or_svd_routine(monkeypatch):
     assert not sim.bank.failed_mask().any()
     for module in modules:
         monkeypatch.setattr(module, "inv", refuse)
-    sim._rebind()
-    sim.step()
+    sim.step()  # binds the tables at loop entry
 
 
 class TestStep:
@@ -354,7 +372,6 @@ class TestStep:
                 s = tuple(rng.normal(0, 1, 6) * np.array([20, 200, 2, 1, 1, 0.5]))
                 sim.bank.w_hat = rng.uniform(0.1, 1.0, 4)
                 sim.bank.w_true = rng.uniform(0.0, 1.0, 4)
-                sim._rebind()
 
                 state = VehicleState(*s)
                 ref = sc.plan.sample(t)
@@ -365,7 +382,7 @@ class TestStep:
                 expected = np.concatenate([kinematics_rhs(state),
                                            dynamics_rhs(state, tau, sc.params)])
 
-                c = sim._control(s, sc.plan.sample_flat(t))
+                c = sim._kernel.control(s, sc.plan.sample_flat(t), sim._tables(-1)[:16])
                 scale = max(1.0, np.abs(tau_c).max())
                 assert np.abs(np.array(c[6:9]) - errors.e_eta).max() < 1e-9
                 assert np.abs(np.array(c[9:12]) - error_rate(state, ref)).max() < 1e-9
@@ -378,11 +395,12 @@ class TestStep:
 
     @pytest.mark.slow
     def test_kernel_compiled_once_per_run(self, monkeypatch):
-        # fig7_failure rebuilds the kernel's tables at each of its fault
-        # events and weight decrements; none of them compiles: the
-        # Simulation has its kernel before the run starts
+        # fig7_failure binds the kernel's tables once at loop entry, then
+        # at each of its fault events and weight decrements and on no
+        # other step; none of them compiles: the Simulation has its kernel
+        # before the run starts
         sim = Simulation(load_scenario("fig7_failure"))
-        compiled, rebinds = [], []
+        compiled, rebinds, decrements = [], [], []
 
         def counted_compile(source, filename, mode):
             compiled.append(filename)
@@ -392,12 +410,19 @@ class TestStep:
             rebinds.append(args)
             return distribution_matrix(*args)
 
-        distribution_matrix = simulation._distribution_matrix
+        def counted_step(*args):
+            decrements.append(args[1])
+            return step(*args)
+
+        distribution_matrix, step = (simulation._distribution_matrix,
+                                     simulation.reconfigure_step)
         monkeypatch.setattr(simulation, "compile", counted_compile, raising=False)
         monkeypatch.setattr(simulation, "_distribution_matrix", counted_rows)
+        monkeypatch.setattr(simulation, "reconfigure_step", counted_step)
         res = sim.run()
-        assert compiled == []
-        assert len(rebinds) > 50 and not res.diverged
+        assert compiled == [] and not res.diverged
+        assert len(decrements) == 67
+        assert len(rebinds) == 1 + len(sim.scenario.faults) + len(decrements) == 72
 
     def test_one_kernel_per_distinct_source(self, monkeypatch):
         # the table1 cases differ only in trajectory, start state and
@@ -422,7 +447,8 @@ class TestStep:
     def test_kernel_lines_in_traceback(self):
         sim = Simulation(make_scenario(sim={"duration": 1.0}))
         with pytest.raises(ValueError) as info:  # too few state entries
-            sim._control((0.0,) * 5, sim.plan.sample_flat(0.0))
+            sim._kernel.control((0.0,) * 5, sim.plan.sample_flat(0.0),
+                                sim._tables(-1)[:16])
         frame = info.traceback[-1]
         assert frame.path.startswith("<rovftc kernel")
         assert str(frame.statement).strip() == "X, Y, psi, u, v, r = s"
@@ -508,7 +534,7 @@ class TestStep:
     def test_divergence_guard(self):
         sc = make_scenario(
             sim={"duration": 5.0,
-                 "initial_state": [2.0e6, 0.0, 0.0, 0.0, 0.0, 0.0]},
+                 "initial_state": [0.0, 0.0, 0.0, 0.0, 0.0, 999999.0]},
         )
         res = Simulation(sc).run()
         assert res.diverged
@@ -516,10 +542,12 @@ class TestStep:
         assert res.summary["diverged"]
 
     def test_overflowing_stage_yaw_ends_the_step_as_divergence(self):
-        # from r = 1e300 the k2 yaw rate, and so the k3 yaw, reach -inf,
-        # where math.cos and math.fmod raise
-        sim = Simulation(make_scenario(sim={
-            "duration": 1.0, "initial_state": [0.0, 0.0, 0.0, 0.0, 0.0, 1e300]}))
+        # with a yaw quadratic damping of 1e308 the k1 yaw acceleration,
+        # and so the k2 yaw rate and the k3 yaw, reach -inf, where
+        # math.cos and math.fmod raise
+        sim = Simulation(make_scenario(
+            sim={"duration": 1.0, "initial_state": [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]},
+            vehicle={"quad_damping": [1.9, 3.0, 1e308]}))
         s0 = sim._s
         row = sim.step()
         assert sim.k == 1 and sim.diverged_time == sim.dt and sim._s == s0
@@ -537,7 +565,7 @@ class TestStep:
             sim.step()
 
     def test_step_after_divergence_raises(self):
-        overrides = ["sim.initial_state=[2.0e6,0,0,0,0,0]", "sim.duration=1.0"]
+        overrides = ["sim.initial_state=[0,0,0,0,0,999999.0]", "sim.duration=1.0"]
         sim = Simulation(load_scenario("fig3_baseline", overrides))
         sim.step()  # the step from t = 0 leaves the limits
         with pytest.raises(RuntimeError, match="diverged"):
@@ -640,7 +668,7 @@ class TestRun:
     def test_truncation_marker_on_divergence(self, tmp_path):
         sc = make_scenario(
             sim={"duration": 5.0,
-                 "initial_state": [2.0e6, 0.0, 0.0, 0.0, 0.0, 0.0]})
+                 "initial_state": [0.0, 0.0, 0.0, 0.0, 0.0, 999999.0]})
         res = Simulation(sc).run()
         path = tmp_path / "diverged.csv"
         res.write_csv(path)
